@@ -6,12 +6,17 @@ Randomness is split across named streams (placement, walk, meme content,
 decisions, perception) so that, for example, changing the sharing model
 leaves agent trajectories untouched.
 
-Infection bookkeeping stores an absolute expiry tick per (agent, meme)
-pair: a pair infected at tick t with duration d takes part in the share
-phases of ticks t+1 .. t+d and is removed by the recovery phase of tick
-t+d (a recruiter-seeded pair also shares on its creation tick, since the
-recruit phase precedes the share phase).  Re-exposure of an infected pair
-resets the timer by default (`reinfection_resets_timer`).
+Infection state is three aligned arrays on the world: `keys`, the sorted
+int64 pair keys ``agent * max_memes + meme`` (so key order is (agent,
+meme) order, the order in which the share phase draws its decisions);
+`expiry`, the absolute tick at which each pair recovers; and `probs`, each
+pair's share probability, computed once when the pair is inserted.  A pair
+infected at tick t with duration d takes part in the share phases of ticks
+t+1 .. t+d and is removed by the recovery phase of tick t+d (a
+recruiter-seeded pair also shares on its creation tick, since the recruit
+phase precedes the share phase).  Re-exposure of an infected pair resets
+the timer by default (`reinfection_resets_timer`).  The share and recovery
+phases are whole-tick array passes that emit a tick's events in one batch.
 """
 
 from __future__ import annotations
@@ -168,6 +173,14 @@ class EventLog:
         self._agents.append(agent_id)
         self._memes.append(meme_id)
 
+    def extend(self, tick: int, kinds: np.ndarray, agents: np.ndarray,
+               memes: np.ndarray):
+        """Append one tick's events at once, in array order."""
+        self._ticks.frombytes(np.full(len(kinds), tick, dtype=np.int64).tobytes())
+        self._kinds.frombytes(kinds.astype(np.int8).tobytes())
+        self._agents.frombytes(agents.astype(np.int64).tobytes())
+        self._memes.frombytes(memes.astype(np.int64).tobytes())
+
     def __len__(self) -> int:
         return len(self._ticks)
 
@@ -195,11 +208,17 @@ class EventLog:
 # ---------------------------------------------------------------------------
 
 class UniformGrid:
-    """Torus-aware bucket grid with cell edges >= radius, so the 3x3 cell
-    neighborhood always covers the query disk."""
+    """Torus-aware cell list with cell edges >= radius, so the 3x3 cell
+    neighborhood always covers the query disk.
+
+    Agents are bucketed by cell with a stable sort (ids ascending within a
+    cell), and `_starts` holds each cell's offset into that order: the
+    cell-list layout of molecular dynamics codes (Allen & Tildesley,
+    *Computer Simulation of Liquids*).
+    """
 
     __slots__ = ("xs", "ys", "width", "height", "radius", "ncx", "ncy",
-                 "cell_w", "cell_h", "_order", "_starts", "_cand_cache")
+                 "cell_w", "cell_h", "_order", "_starts", "_offsets")
 
     def __init__(self, xs, ys, width, height, radius):
         self.xs = xs
@@ -207,49 +226,74 @@ class UniformGrid:
         self.width = width
         self.height = height
         self.radius = radius
-        self.ncx = max(1, int(width // radius))
-        self.ncy = max(1, int(height // radius))
+        # Any cell edge >= radius is correct; the cap keeps a tiny radius
+        # from asking for billions of mostly empty cells.
+        cap = math.isqrt(len(xs)) + 1
+        self.ncx = max(1, min(int(width // radius), cap))
+        self.ncy = max(1, min(int(height // radius), cap))
         self.cell_w = width / self.ncx
         self.cell_h = height / self.ncy
-        cx = np.minimum((xs / self.cell_w).astype(np.int64), self.ncx - 1)
-        cy = np.minimum((ys / self.cell_h).astype(np.int64), self.ncy - 1)
-        flat = cx * self.ncy + cy
+        flat = self._cell_of(xs, ys)
         self._order = np.argsort(flat, kind="stable")
         self._starts = np.searchsorted(flat[self._order],
                                        np.arange(self.ncx * self.ncy + 1))
-        self._cand_cache = {}
+        # Offsets of the distinct cells around a cell: with fewer than three
+        # cells along an axis, -1 and +1 wrap onto the same column or row.
+        self._offsets = np.array([(dx, dy) for dx in (-1, 0, 1)[:self.ncx]
+                                  for dy in (-1, 0, 1)[:self.ncy]], dtype=np.int64)
 
-    def _candidates(self, cx: int, cy: int) -> np.ndarray:
-        key = cx * self.ncy + cy
-        cached = self._cand_cache.get(key)
-        if cached is not None:
-            return cached
-        cells = sorted({((cx + dx) % self.ncx) * self.ncy + ((cy + dy) % self.ncy)
-                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)})
-        parts = [self._order[self._starts[c]:self._starts[c + 1]] for c in cells]
-        cand = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        self._cand_cache[key] = cand
-        return cand
+    def _cell_of(self, xs, ys) -> np.ndarray:
+        cx = np.minimum((xs / self.cell_w).astype(np.int64), self.ncx - 1)
+        cy = np.minimum((ys / self.cell_h).astype(np.int64), self.ncy - 1)
+        return cx * self.ncy + cy
+
+    def query_many(self, qx, qy, exclude=None):
+        """Neighbors of many points at once, as CSR arrays (ptr, ids).
+
+        ids[ptr[i]:ptr[i + 1]] are the sorted ids of agents within `radius`
+        of (qx[i], qy[i]), minus exclude[i] (entries < 0 exclude nothing).
+        """
+        qx = np.asarray(qx, dtype=np.float64)
+        qy = np.asarray(qy, dtype=np.float64)
+        nq = len(qx)
+        flat = self._cell_of(qx, qy)
+        cx, cy = np.divmod(flat, self.ncy)
+        # (query, cell) pairs, query-major.
+        cells = (((cx[:, None] + self._offsets[:, 0]) % self.ncx) * self.ncy
+                 + (cy[:, None] + self._offsets[:, 1]) % self.ncy).ravel()
+        lo = self._starts[cells]
+        counts = self._starts[cells + 1] - lo
+        total = int(counts.sum())
+        # Expand every (query, cell) pair into its run of the cell order.
+        run_start = np.cumsum(counts) - counts
+        pos = np.arange(total) + np.repeat(lo - run_start, counts)
+        cand = self._order[pos]
+        owner = np.repeat(np.repeat(np.arange(nq), len(self._offsets)), counts)
+        dx = np.abs(self.xs[cand] - qx[owner])
+        dx = np.minimum(dx, self.width - dx)
+        dy = np.abs(self.ys[cand] - qy[owner])
+        dy = np.minimum(dy, self.height - dy)
+        hit = np.sqrt(dx * dx + dy * dy) <= self.radius
+        if exclude is not None:
+            hit &= cand != np.asarray(exclude, dtype=np.int64)[owner]
+        # Sorting (query, id) keys groups rows and sorts ids within each.
+        n = len(self.xs)
+        keyed = np.sort(owner[hit] * n + cand[hit])
+        ptr = np.zeros(nq + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keyed // n, minlength=nq), out=ptr[1:])
+        return ptr, keyed % n
 
     def query(self, x: float, y: float, exclude_id: int = -1) -> np.ndarray:
         """Sorted ids of agents within `radius` of (x, y), minus exclude_id."""
-        cx = min(int(x / self.cell_w), self.ncx - 1)
-        cy = min(int(y / self.cell_h), self.ncy - 1)
-        cand = self._candidates(cx, cy)
-        dx = np.abs(self.xs[cand] - x)
-        dx = np.minimum(dx, self.width - dx)
-        dy = np.abs(self.ys[cand] - y)
-        dy = np.minimum(dy, self.height - dy)
-        hit = cand[np.sqrt(dx * dx + dy * dy) <= self.radius]
-        if exclude_id >= 0:
-            hit = hit[hit != exclude_id]
-        return np.sort(hit)
+        _, ids = self.query_many([x], [y], [exclude_id])
+        return ids
 
 
 def neighbor_sets_grid(xs, ys, width, height, radius) -> list:
     """Per-agent sorted neighbor ids via the bucket grid."""
     grid = UniformGrid(xs, ys, width, height, radius)
-    return [grid.query(xs[i], ys[i], exclude_id=i) for i in range(len(xs))]
+    ptr, ids = grid.query_many(xs, ys, np.arange(len(xs)))
+    return np.split(ids, ptr[1:-1])
 
 
 def neighbor_sets_bruteforce(xs, ys, width, height, radius) -> list:
@@ -272,10 +316,9 @@ class WorldState:
 
     __slots__ = ("config", "tick", "xs", "ys", "recruited", "recruited_count",
                  "perception_seeds", "memes", "meme_latents", "meme_count",
-                 "infections", "hits", "cumulative_exposures", "events",
-                 "placement", "walk", "meme_content", "decisions",
-                 "infected_series", "exposure_series",
-                 "_expiry_buckets", "_prob_cache", "_grid")
+                 "keys", "expiry", "probs", "hits", "cumulative_exposures",
+                 "events", "placement", "walk", "meme_content", "decisions",
+                 "infected_series", "exposure_series", "_grid")
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -297,14 +340,14 @@ class WorldState:
         self.memes = []
         self.meme_latents = np.zeros((config.max_memes, config.meme_dim))
         self.meme_count = 0
-        self.infections = {}
+        self.keys = np.empty(0, dtype=np.int64)
+        self.expiry = np.empty(0, dtype=np.int64)
+        self.probs = np.empty(0, dtype=np.float64)
         self.hits = np.zeros(config.max_memes, dtype=np.int64)
         self.cumulative_exposures = 0
         self.events = EventLog()
         self.infected_series = []
         self.exposure_series = []
-        self._expiry_buckets = {}
-        self._prob_cache = {}
         self._grid = None
 
     # -- views -------------------------------------------------------------
@@ -318,8 +361,10 @@ class WorldState:
 
     def agent_state(self, agent_id: int) -> AgentState:
         """Materialize the per-agent view at the current tick boundary."""
-        remaining = {m: expiry - self.tick + 1
-                     for (a, m), expiry in self.infections.items() if a == agent_id}
+        m = self.config.max_memes
+        lo, hi = np.searchsorted(self.keys, [agent_id * m, (agent_id + 1) * m])
+        remaining = {int(key % m): int(expiry - self.tick + 1)
+                     for key, expiry in zip(self.keys[lo:hi], self.expiry[lo:hi])}
         return AgentState(
             agent_id=agent_id,
             position=Position(float(self.xs[agent_id]), float(self.ys[agent_id])),
@@ -336,10 +381,15 @@ class WorldState:
     def _log(self, kind: EventKind, agent_id: int, meme_id: int = -1):
         self.events.append(self.tick, _KIND_CODE[kind], agent_id, meme_id)
 
-    def _infect(self, agent_id: int, meme_id: int):
-        expiry = self.tick + self.config.infection_duration_ticks
-        self.infections[(agent_id, meme_id)] = expiry
-        self._expiry_buckets.setdefault(expiry, []).append((agent_id, meme_id))
+    def _infect(self, new_keys: np.ndarray):
+        """Infect the pairs `new_keys` (sorted, none infected yet) this tick."""
+        m = self.config.max_memes
+        at = np.searchsorted(self.keys, new_keys)
+        expiry = np.full(len(new_keys), self.tick + self.config.infection_duration_ticks)
+        self.keys = np.insert(self.keys, at, new_keys)
+        self.expiry = np.insert(self.expiry, at, expiry)
+        self.probs = np.insert(self.probs, at,
+                               self._share_probs(new_keys // m, new_keys % m))
 
     def _share_probs(self, agents: np.ndarray, meme_ids: np.ndarray) -> np.ndarray:
         """Vectorized share probabilities for (agent, meme) pairs.
@@ -373,6 +423,7 @@ def recruit_step(world: WorldState) -> WorldState:
     cfg = world.config
     if world.tick % cfg.recruit_interval_ticks != 0:
         return world
+    seeded = []
     for _ in range(cfg.recruit_batch_size):
         if world.recruited_count >= cfg.recruits:
             break
@@ -389,7 +440,9 @@ def recruit_step(world: WorldState) -> WorldState:
             world.meme_count += 1
             world._log(EventKind.CREATE, agent, mid)
             world._log(EventKind.INFECT, agent, mid)
-            world._infect(agent, mid)
+            seeded.append(agent * cfg.max_memes + mid)
+    if seeded:
+        world._infect(np.sort(np.array(seeded, dtype=np.int64)))
     return world
 
 
@@ -410,69 +463,84 @@ def share_step(world: WorldState) -> WorldState:
     even for already-infected neighbors -- repeat views count); susceptible
     neighbors become infected for infection_duration_ticks.  Pairs infected
     during this phase do not act until the next tick.
+
+    Events come out as if the sharing pairs acted one by one in key order:
+    SHARE, then per neighbor in id order EXPOSE, followed by INFECT when
+    that exposure is the pair's first this tick and the pair was
+    susceptible at the start of the tick.
     """
-    if not world.infections:
+    keys = world.keys
+    if len(keys) == 0:
         return world
     cfg = world.config
-    tick = world.tick
-    pairs = sorted(world.infections)
-    probs = np.empty(len(pairs))
-    missing = [i for i, pair in enumerate(pairs) if pair not in world._prob_cache]
-    if missing:
-        agents = np.fromiter((pairs[i][0] for i in missing), dtype=np.int64)
-        memes = np.fromiter((pairs[i][1] for i in missing), dtype=np.int64)
-        fresh = world._share_probs(agents, memes)
-        for i, p in zip(missing, fresh):
-            world._prob_cache[pairs[i]] = float(p)
-    cache = world._prob_cache
-    for i, pair in enumerate(pairs):
-        probs[i] = cache[pair]
-
-    shared = world.decisions.uniforms(len(pairs)) < probs
+    m = cfg.max_memes
+    shared = world.decisions.uniforms(len(keys)) < world.probs
     if not shared.any():
         return world
 
-    grid = world.grid()
-    neighbors_of = {}
-    duration = cfg.infection_duration_ticks
-    reset = cfg.reinfection_resets_timer
-    infections = world.infections
-    buckets = world._expiry_buckets
-    for i in np.flatnonzero(shared):
-        sharer, meme_id = pairs[i]
-        world._log(EventKind.SHARE, sharer, meme_id)
-        nb = neighbors_of.get(sharer)
-        if nb is None:
-            nb = grid.query(world.xs[sharer], world.ys[sharer], exclude_id=sharer)
-            neighbors_of[sharer] = nb
-        expiry = tick + duration
-        for b in nb:
-            b = int(b)
-            world._log(EventKind.EXPOSE, b, meme_id)
-            world.hits[meme_id] += 1
-            world.cumulative_exposures += 1
-            key = (b, meme_id)
-            if key not in infections:
-                world._log(EventKind.INFECT, b, meme_id)
-                infections[key] = expiry
-                buckets.setdefault(expiry, []).append(key)
-            elif reset and infections[key] != expiry:
-                infections[key] = expiry
-                buckets.setdefault(expiry, []).append(key)
+    # One neighbor query per distinct sharer; exposures in emission order.
+    sharers, memes = np.divmod(keys[shared], m)
+    distinct, row = np.unique(sharers, return_inverse=True)
+    ptr, ids = world.grid().query_many(world.xs[distinct], world.ys[distinct],
+                                       distinct)
+    degree = np.diff(ptr)[row]
+    first = np.cumsum(degree) - degree
+    n_pairs, n_exp = len(sharers), int(degree.sum())
+    pair_of = np.repeat(np.arange(n_pairs), degree)
+    exposed = ids[np.arange(n_exp) + np.repeat(ptr[row] - first, degree)]
+    exp_memes = memes[pair_of]
+
+    exposed_keys, first_exposure = np.unique(exposed * m + exp_memes,
+                                             return_index=True)
+    at = np.searchsorted(keys, exposed_keys)
+    known = keys[np.minimum(at, len(keys) - 1)] == exposed_keys
+    infect = np.zeros(n_exp, dtype=bool)
+    infect[first_exposure[~known]] = True
+
+    # Event slots: each pair's SHARE precedes its exposures, and each
+    # INFECT directly follows its EXPOSE.
+    infects_before = np.zeros(n_exp + 1, dtype=np.int64)
+    np.cumsum(infect, out=infects_before[1:])
+    share_at = np.arange(n_pairs) + first + infects_before[first]
+    expose_at = np.arange(n_exp) + pair_of + 1 + infects_before[:-1]
+    infect_at = expose_at[infect] + 1
+    total = n_pairs + n_exp + len(infect_at)
+    kinds = np.empty(total, dtype=np.int8)
+    agents = np.empty(total, dtype=np.int64)
+    event_memes = np.empty(total, dtype=np.int64)
+    kinds[share_at] = _KIND_CODE[EventKind.SHARE]
+    agents[share_at] = sharers
+    event_memes[share_at] = memes
+    kinds[expose_at] = _KIND_CODE[EventKind.EXPOSE]
+    agents[expose_at] = exposed
+    event_memes[expose_at] = exp_memes
+    kinds[infect_at] = _KIND_CODE[EventKind.INFECT]
+    agents[infect_at] = exposed[infect]
+    event_memes[infect_at] = exp_memes[infect]
+    world.events.extend(world.tick, kinds, agents, event_memes)
+    world.hits += np.bincount(exp_memes, minlength=m)
+    world.cumulative_exposures += n_exp
+
+    if cfg.reinfection_resets_timer:
+        world.expiry[at[known]] = world.tick + cfg.infection_duration_ticks
+    if not known.all():
+        world._infect(exposed_keys[~known])
     return world
 
 
 def recovery_step(world: WorldState) -> WorldState:
     """Remove every infection whose timer has run out (back to susceptible)."""
-    due = world._expiry_buckets.pop(world.tick, None)
-    if not due:
+    due = world.expiry == world.tick
+    if not due.any():
         return world
-    # Buckets use lazy deletion: entries are stale when the timer was reset.
-    expired = sorted({pair for pair in due
-                      if world.infections.get(pair) == world.tick})
-    for agent_id, meme_id in expired:
-        del world.infections[(agent_id, meme_id)]
-        world._log(EventKind.RECOVER, agent_id, meme_id)
+    agents, memes = np.divmod(world.keys[due], world.config.max_memes)
+    world.events.extend(world.tick,
+                        np.full(len(agents), _KIND_CODE[EventKind.RECOVER]),
+                        agents, memes)
+    keep = ~due
+    world.keys = world.keys[keep]
+    world.expiry = world.expiry[keep]
+    world.probs = world.probs[keep]
     return world
 
 
@@ -482,7 +550,7 @@ def step(world: WorldState) -> WorldState:
     walk_step(world)
     share_step(world)
     recovery_step(world)
-    world.infected_series.append(len(world.infections))
+    world.infected_series.append(len(world.keys))
     world.exposure_series.append(world.cumulative_exposures)
     world.tick += 1
     return world

@@ -225,6 +225,50 @@ def test_pipeline_closure(tmp_path):
               f"({bad} mismatches)")
 
 
+def test_supercritical_full_scale_run(tmp_path):
+    # Above the epidemic threshold in a full-size world: 1,000 recruits
+    # seeded at tick 0 with one meme each, intercept -3.3.  The event log
+    # passes the SIS checker, analyze reproduces hits.csv from events.log,
+    # and timeseries.csv agrees with the INFECT/RECOVER/EXPOSE counts.
+    horizon = 15
+    doc = json.loads((CONFIGS / "default.json").read_text())
+    doc.update(recruits=1000, recruit_batch_size=1000, memes_per_recruit=1,
+               horizon_ticks=horizon,
+               sharing_model={"intercept": -3.3, "w_humor": 0.1,
+                              "w_relevance": 0.1, "w_selfref": 0.1})
+    config = tmp_path / "supercritical.json"
+    config.write_text(json.dumps(doc))
+    sim, analysis = tmp_path / "sim", tmp_path / "analysis"
+    assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+    records = list(logio.read_log(sim / "events.log"))
+    counts = check_event_log(records, horizon=horizon)
+
+    infected = np.zeros(horizon, dtype=np.int64)
+    exposures = np.zeros(horizon, dtype=np.int64)
+    for rec in records:
+        if rec.kind is EventKind.INFECT:
+            infected[rec.tick] += 1
+        elif rec.kind is EventKind.RECOVER:
+            infected[rec.tick] -= 1
+        elif rec.kind is EventKind.EXPOSE:
+            exposures[rec.tick] += 1
+    lines = (sim / "timeseries.csv").read_text().splitlines()
+    series = np.array([[int(v) for v in line.split(",")] for line in lines[1:]])
+    series_ok = (np.array_equal(series[:, 0], np.arange(horizon))
+                 and np.array_equal(series[:, 1], np.cumsum(infected))
+                 and np.array_equal(series[:, 2], np.cumsum(exposures)))
+    criterion("supercritical time series matches event counts", series_ok,
+              f"({len(records)} events)")
+    criterion("supercritical run spreads past its 1,000 seeds",
+              counts[EventKind.RECRUIT] == 1000 and series[-1, 1] > 5 * 1000,
+              f"(final active pairs {series[-1, 1]})")
+
+    assert main(["analyze", "--log", str(sim / "events.log"), "--bin", "10",
+                 "--out", str(analysis)]) == 0
+    criterion("supercritical simulate -> analyze hits.csv closure",
+              (analysis / "hits.csv").read_bytes() == (sim / "hits.csv").read_bytes())
+
+
 def test_determinism_byte_identical(tmp_path):
     # Same config + seed: two consecutive runs, byte-identical event logs.
     cfg = SimConfig(master_seed=13)

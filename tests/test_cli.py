@@ -1,12 +1,14 @@
 """CLI surface: commands, exit codes, artifact schemas, pipeline closure."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import memesim
 from memesim import logio
 from memesim.cli import main
 from memesim.engine import SimConfig, run
@@ -330,10 +332,13 @@ def test_golden_micro_run(tmp_path):
 
 def test_module_entrypoint_smoke(tmp_path):
     cfg = write_config(tmp_path, dict(SMALL, horizon_ticks=10))
+    # The child imports the same memesim as this process, installed or not.
+    package_root = str(Path(memesim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "memesim.cli", "simulate",
          "--config", str(cfg), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "events.log").exists()
 

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from _helpers import check_event_log
+from _helpers import ReferenceRun, check_event_log
 from memesim.core import ConfigurationError, EventKind, torus_distance, Position
 from memesim.decision import SharingModel, share_probability
 from memesim.core import perceive_features
@@ -77,7 +77,7 @@ def test_init_default_world():
     assert len(world.xs) == 15000
     assert world.recruited_count == 0
     assert world.meme_count == 0
-    assert not world.infections
+    assert len(world.keys) == len(world.expiry) == len(world.probs) == 0
     assert np.all((world.xs >= 0) & (world.xs < 200.0))
     assert np.all((world.ys >= 0) & (world.ys < 200.0))
 
@@ -408,12 +408,16 @@ def test_share_decisions_consume_one_uniform_per_pair():
     recruit_step(world)
     recruit_step(world)  # second manual call recruits one more agent
     walk_step(world)
-    pairs = sorted(world.infections)
+    m = cfg.max_memes
+    pairs = [divmod(int(key), m) for key in world.keys]
+    seeded = [(r.agent_id, r.meme_id) for r in world.events.records()
+              if r.kind is EventKind.INFECT]
+    assert pairs == sorted(seeded)  # key order is (agent_id, meme_id) order
+    probs = world.probs.copy()
     share_step(world)
     replay = RngStream(cfg.master_seed, StreamLabel.DECISIONS)
     u = replay.uniforms(len(pairs))
-    expected_sharers = [pair for pair, draw in zip(pairs, u)
-                        if draw < world._prob_cache[pair]]
+    expected_sharers = [pair for pair, draw, p in zip(pairs, u, probs) if draw < p]
     actual_sharers = [(r.agent_id, r.meme_id) for r in world.events.records()
                       if r.kind is EventKind.SHARE]
     assert actual_sharers == expected_sharers
@@ -425,12 +429,65 @@ def test_engine_probability_cache_matches_contract_path():
     world = init_world(cfg)
     for _ in range(cfg.horizon_ticks):
         step(world)
-    assert world._prob_cache
-    items = sorted(world._prob_cache.items())[:50]
-    for (agent_id, meme_id), cached in items:
+    assert len(world.keys) == len(world.probs) > 0
+    for key, stored in list(zip(world.keys, world.probs))[:50]:
+        agent_id, meme_id = divmod(int(key), cfg.max_memes)
         f = perceive_features(world.agent_state(agent_id), world.meme(meme_id),
                               cfg.perception_noise_sd)
-        assert share_probability(cfg.sharing_model, f) == cached
+        assert share_probability(cfg.sharing_model, f) == stored
+
+
+def differential_configs():
+    """Sixteen small worlds for the scalar-reference comparison.
+
+    Intercepts span -6 (almost no sharing) to +2 (almost always), timer
+    resets alternate, and every third world has a radius near the world
+    span (fewer than three grid cells per axis) or a step near the span.
+    """
+    rng = np.random.default_rng(4242)
+    intercepts = rng.permutation(np.linspace(-6.0, 2.0, 16))
+    for i, intercept in enumerate(intercepts):
+        w, h = float(rng.uniform(6, 16)), float(rng.uniform(6, 16))
+        span = min(w, h)
+        radius = float(rng.uniform(0.4, 1.1) * span if i % 3 == 1
+                       else rng.uniform(0.5, 3.0))
+        step_size = float(rng.uniform(0.5, 1.0) * span if i % 3 == 2
+                          else rng.uniform(0.0, 1.5))
+        yield SimConfig(
+            population=int(rng.integers(20, 45)),
+            recruits=int(rng.integers(1, 6)),
+            memes_per_recruit=int(rng.integers(1, 3)),
+            recruit_interval_ticks=int(rng.integers(1, 5)),
+            recruit_batch_size=int(rng.integers(1, 3)),
+            horizon_ticks=30,
+            world_width=w, world_height=h,
+            step_size=step_size, neighbor_radius=radius,
+            infection_duration_ticks=int(rng.integers(1, 8)),
+            perception_noise_sd=float(rng.uniform(0.0, 1.0)),
+            sharing_model=SharingModel(float(intercept), 0.5, 0.5, 0.25),
+            reinfection_resets_timer=bool(i % 2),
+            master_seed=int(rng.integers(0, 2**63)),
+        )
+
+
+def test_engine_matches_scalar_reference():
+    # Differential oracle: the array engine and the dict-based scalar loop
+    # in _helpers write the same events.log bytes and time series.
+    for cfg in differential_configs():
+        out = run(cfg)
+        ref = ReferenceRun(cfg).run()
+        got, want = io.StringIO(), io.StringIO()
+        out.events.write_lines(got)
+        ref.events.write_lines(want)
+        got, want = got.getvalue().splitlines(), want.getvalue().splitlines()
+        same = got == want  # kept out of the assert: a diff of 10^5 lines is slow
+        first = next((i for i, pair in enumerate(zip(got, want))
+                      if pair[0] != pair[1]), min(len(got), len(want)))
+        assert same, f"{cfg}: first differing event {first}"
+        assert list(out.currently_infected) == ref.currently_infected, cfg
+        assert list(out.cumulative_exposures) == ref.exposure_series, cfg
+        assert out.per_meme_hits == {m: int(ref.world.hits[m])
+                                     for m in range(ref.world.meme_count)}, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +516,56 @@ def test_grid_handles_radius_larger_than_world():
     got = neighbor_sets_grid(xs, ys, 5.0, 5.0, 30.0)
     for i, g in enumerate(got):
         assert np.array_equal(g, np.array([j for j in range(40) if j != i]))
+
+
+def test_query_many_matches_bruteforce():
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(1, 150))
+        w, h = (float(v) for v in rng.uniform(4, 60, size=2))
+        if trial % 2:
+            # radius >= span / 2: fewer than three cells along an axis, so
+            # the 3x3 neighborhood wraps onto repeated cells.
+            radius = float(rng.uniform(0.5, 1.2) * max(w, h))
+        else:
+            radius = float(rng.uniform(0.3, 0.45 * min(w, h)))
+        xs = rng.uniform(0, w, n)
+        ys = rng.uniform(0, h, n)
+        src, dst = rng.integers(0, n, size=(2, n // 4))
+        xs[dst], ys[dst] = xs[src], ys[src]  # coincident points
+        grid = UniformGrid(xs, ys, w, h, radius)
+        if trial % 2:
+            assert grid.ncx < 3 and grid.ncy < 3
+        want = neighbor_sets_bruteforce(xs, ys, w, h, radius)
+
+        ptr, ids = grid.query_many(xs, ys, np.arange(n))
+        assert ptr[0] == 0 and ptr[-1] == len(ids)
+        for i in range(n):
+            assert np.array_equal(ids[ptr[i]:ptr[i + 1]], want[i])
+
+        # Without exclusion a query point at an agent finds the agent too.
+        sub = rng.integers(0, n, size=int(rng.integers(1, 10)))
+        ptr, ids = grid.query_many(xs[sub], ys[sub])
+        for row, i in enumerate(sub):
+            assert np.array_equal(ids[ptr[row]:ptr[row + 1]],
+                                  np.union1d(want[i], [i]))
+
+        ptr, ids = grid.query_many(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+        assert list(ptr) == [0] and len(ids) == 0
+
+
+def test_grid_tiny_radius_keeps_cell_count_bounded():
+    # width // radius would be 50 million cells per axis.
+    rng = np.random.default_rng(19)
+    xs = rng.uniform(0, 50, 40)
+    ys = rng.uniform(0, 50, 40)
+    xs[1], ys[1] = xs[0] + 5e-7, ys[0]
+    grid = UniformGrid(xs, ys, 50.0, 50.0, 1e-6)
+    assert grid.ncx * grid.ncy <= 7 * 7
+    got = neighbor_sets_grid(xs, ys, 50.0, 50.0, 1e-6)
+    want = neighbor_sets_bruteforce(xs, ys, 50.0, 50.0, 1e-6)
+    assert all(np.array_equal(g, b) for g, b in zip(got, want))
+    assert list(got[0]) == [1]
 
 
 def test_grid_query_excludes_self_but_not_coincident():
