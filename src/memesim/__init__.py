@@ -3,32 +3,16 @@ tooling around it (sharing-decision models, regression fitting, and
 access-log analytics)."""
 
 from .core import (
-    AgentState,
     ConfigurationError,
     EventKind,
     EventRecord,
-    FeatureVector,
     InputError,
-    MemeVector,
-    Position,
     RngStream,
     StreamLabel,
-    perceive_features,
-    sample_meme_vector,
-    sample_standard_normal,
-    torus_displace,
-    torus_distance,
 )
-from .decision import (
-    DEFAULT_SHARING_MODEL,
-    CreatorModel,
-    SharingModel,
-    decide_share,
-    predict_total_hits,
-    share_probability,
-)
+from .decision import DEFAULT_SHARING_MODEL, SharingModel
 from .engine import SimConfig, SimOutput, WorldState, init_world, run
-from .logio import HitSummary, LogParseError, aggregate_hits, emit_line, parse_line
+from .logio import HitSummary, LogParseError, aggregate_hits, parse_line
 from .stats import (
     DesignMatrix,
     FitResult,

@@ -37,7 +37,8 @@ class SweepSpec:
 # Config loading (strict schema)
 # ---------------------------------------------------------------------------
 
-def _build_sharing_model(value) -> SharingModel:
+def _build_sharing_model(value, base: SharingModel) -> SharingModel:
+    """`base` with the coefficients that the JSON object `value` sets."""
     if not isinstance(value, dict):
         raise ConfigurationError("sharing_model must be an object",
                                  fields=("sharing_model",))
@@ -46,7 +47,7 @@ def _build_sharing_model(value) -> SharingModel:
         raise ConfigurationError(
             f"unknown sharing_model keys: {', '.join(unknown)}",
             fields=[f"sharing_model.{k}" for k in unknown])
-    merged = {k: getattr(engine.DEFAULT_SHARING_MODEL, k) for k in _MODEL_KEYS}
+    merged = {k: getattr(base, k) for k in _MODEL_KEYS}
     for key, v in value.items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ConfigurationError(f"sharing_model.{key} must be a number",
@@ -80,7 +81,8 @@ def load_run_config(path):
     overrides = {}
     for key in _SIM_KEYS & set(doc):
         if key == "sharing_model":
-            overrides[key] = _build_sharing_model(doc[key])
+            overrides[key] = _build_sharing_model(doc[key],
+                                                  engine.DEFAULT_SHARING_MODEL)
         else:
             overrides[key] = doc[key]
     config = SimConfig(**overrides)
@@ -143,14 +145,12 @@ def _apply_point(config: SimConfig, point: dict) -> SimConfig:
     model_patch = {}
     for name, value in point.items():
         if name.startswith("sharing_model."):
-            model_patch[name.split(".", 1)[1]] = float(value)
+            model_patch[name.split(".", 1)[1]] = value
         else:
             overrides[name] = value
     if model_patch:
-        base = config.sharing_model
-        merged = {k: getattr(base, k) for k in _MODEL_KEYS}
-        merged.update(model_patch)
-        overrides["sharing_model"] = SharingModel(**merged)
+        overrides["sharing_model"] = _build_sharing_model(model_patch,
+                                                          config.sharing_model)
     return config.with_overrides(**overrides)
 
 
@@ -280,10 +280,15 @@ def _read_timeseries_csv(path):
         header = fh.readline().strip()
         if header != "tick,currently_infected,cumulative_exposures":
             raise InputError(f"{path}: not a simulation timeseries CSV")
-        for line in fh:
-            t, _, c = line.strip().split(",")
-            ticks.append(int(t))
-            cum.append(int(c))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                t, _, c = line.strip().split(",")
+                tick, exposures = int(t), int(c)
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: expected three integer"
+                                 f" cells, got {line.strip()!r}") from None
+            ticks.append(tick)
+            cum.append(exposures)
     return ticks, cum
 
 

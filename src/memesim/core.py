@@ -1,4 +1,4 @@
-"""Domain types, seeded random streams, and toroidal 2-D geometry.
+"""Domain types, seeded random streams, the torus wrap and perception noise.
 
 Everything random in this package flows through :class:`RngStream`, a
 counter-based SplitMix64 generator with an explicitly documented transform
@@ -21,7 +21,7 @@ doubles the streams agree bit-for-bit up to libm rounding of ``log``/
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -97,16 +97,10 @@ def _to_normal(raw_pairs: np.ndarray) -> np.ndarray:
     return radius * np.cos((2.0 * np.pi) * u2)
 
 
-def keyed_normals(state: int, count: int) -> np.ndarray:
-    """First `count` normals of the substream with base state `state`.
-
-    Stateless: repeated calls with the same key return the same values.
-    """
-    return _to_normal(_raw_block(state, 2 * count))
-
-
 def _keyed_normals_batch(states: np.ndarray, count: int) -> np.ndarray:
-    """Row i holds keyed_normals(states[i], count); shape (len(states), count)."""
+    """Row i holds the first `count` normals of the substream with base state
+    states[i]; shape (len(states), count).  Stateless: the same keys always
+    give the same rows."""
     idx = np.arange(1, 2 * count + 1, dtype=np.uint64)
     raws = _mix64_u64(states[:, None] + idx[None, :] * np.uint64(GAMMA))
     return _to_normal(raws)
@@ -163,55 +157,6 @@ class RngStream:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MemeVector:
-    """Latent content of one meme: meme_id, creator, and D feature loadings."""
-
-    meme_id: int
-    creator_id: int
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise ConfigurationError("meme components must have dimension >= 1")
-
-
-@dataclass(frozen=True)
-class Position:
-    """A point on the W x H torus; coordinates live in [0, W) x [0, H)."""
-
-    x: float
-    y: float
-
-
-@dataclass
-class AgentState:
-    """One agent: location, recruitment flag, and per-meme infection timers.
-
-    `infections` maps meme_id -> remaining infection ticks (always >= 1 at
-    tick boundaries); a meme absent from the map means the agent is
-    susceptible to it.
-    """
-
-    agent_id: int
-    position: Position
-    recruited: bool = False
-    infections: dict = field(default_factory=dict)
-    perception_noise_seed: int = 0
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Perceived meme features, in the order the sharing model consumes them."""
-
-    humor: float
-    self_relevance: float
-    self_reference: float
-
-    def as_tuple(self) -> tuple:
-        return (self.humor, self.self_relevance, self.self_reference)
-
-
 class EventKind(Enum):
     """The six event types a simulation emits (and a log may contain)."""
 
@@ -234,92 +179,25 @@ class EventRecord:
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Torus wrap and perception noise
 # ---------------------------------------------------------------------------
-
-def sample_standard_normal(rng: RngStream) -> float:
-    """One standard-normal draw (transform documented in the module header)."""
-    return rng.normal()
-
-
-def sample_meme_vector(rng: RngStream, dim: int, meme_id: int, creator_id: int) -> MemeVector:
-    """Fresh meme whose components are `dim` independent standard normals."""
-    if dim < 1:
-        raise ConfigurationError("meme dimension must be >= 1", fields=("meme_dim",))
-    comps = tuple(float(v) for v in rng.normals(dim))
-    return MemeVector(meme_id=meme_id, creator_id=creator_id, components=comps)
-
-
-# ---------------------------------------------------------------------------
-# Toroidal geometry
-# ---------------------------------------------------------------------------
-
-def _wrap_scalar(v: float, span: float) -> float:
-    w = v % span
-    # Float modulo can round up to exactly `span` for tiny negative inputs.
-    if w >= span:
-        w -= span
-    return w
-
 
 def wrap_coords(arr: np.ndarray, span: float) -> np.ndarray:
-    """Vectorized coordinate wrap matching the scalar torus_displace path."""
+    """Wrap coordinates into [0, span); requires span > 0."""
     w = np.mod(arr, span)
+    # Float modulo can round up to exactly `span` for tiny negative inputs.
     return np.where(w >= span, w - span, w)
-
-
-def torus_displace(p: Position, dx: float, dy: float, width: float, height: float) -> Position:
-    """Move p by (dx, dy) and wrap into [0, W) x [0, H). Requires W, H > 0."""
-    return Position(_wrap_scalar(p.x + dx, width), _wrap_scalar(p.y + dy, height))
-
-
-def torus_distance(p: Position, q: Position, width: float, height: float) -> float:
-    """Minimum Euclidean distance between p and q over wrapped images."""
-    dx = abs(p.x - q.x)
-    dx = min(dx, width - dx)
-    dy = abs(p.y - q.y)
-    dy = min(dy, height - dy)
-    return float(np.sqrt(dx * dx + dy * dy))
-
-
-# ---------------------------------------------------------------------------
-# Perception
-# ---------------------------------------------------------------------------
-
-def perceive_features(agent: AgentState, meme: MemeVector, noise_sd: float) -> FeatureVector:
-    """How `agent` perceives `meme`: latent components plus personal noise.
-
-    The first three meme components map to (humor, self_relevance,
-    self_reference).  Noise is N(0, noise_sd^2) per feature, keyed by
-    (agent.perception_noise_seed, meme_id): the same agent always perceives
-    the same meme identically, and different agents disagree.
-    """
-    if len(meme.components) < 3:
-        raise ConfigurationError(
-            f"meme dimension {len(meme.components)} < 3; cannot map to features",
-            fields=("meme_dim",),
-        )
-    if noise_sd < 0:
-        raise ConfigurationError("noise_sd must be >= 0", fields=("perception_noise_sd",))
-    if noise_sd == 0.0:
-        noise = (0.0, 0.0, 0.0)
-    else:
-        key = substream_seed(agent.perception_noise_seed, meme.meme_id)
-        noise = keyed_normals(key, 3) * noise_sd
-    return FeatureVector(
-        humor=float(meme.components[0] + noise[0]),
-        self_relevance=float(meme.components[1] + noise[1]),
-        self_reference=float(meme.components[2] + noise[2]),
-    )
 
 
 def perception_noise_batch(
     perception_seeds: np.ndarray, meme_ids: np.ndarray, noise_sd: float
 ) -> np.ndarray:
-    """Noise rows for many (agent, meme) pairs at once.
+    """How agents perceive memes: one noise row per (agent, meme) pair.
 
-    Row i equals the noise perceive_features adds for
-    (perception_seeds[i], meme_ids[i]); used by the engine's vectorized path.
+    Row i is N(0, noise_sd^2) noise on the three features (humor,
+    self_relevance, self_reference), keyed by (perception_seeds[i],
+    meme_ids[i]): the same agent always perceives the same meme
+    identically, and different agents disagree.
     """
     if noise_sd == 0.0:
         return np.zeros((len(perception_seeds), 3))

@@ -1,9 +1,9 @@
-"""Parametric sharing models.
+"""The sharing model.
 
-The consumer model is a logistic decision over perceived meme features and
-doubles as the simulation's infection function.  The creator model is a
-plain linear predictor of total hits; it is exposed for fitting
-experiments but the engine never consults it.
+A logistic decision over perceived meme features that doubles as the
+simulation's infection function: a pair with logit z shares with
+probability sigmoid(z).  The paper's linear creator model of total hits is
+fitted with `memesim fit --model ols`; it needs no type of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureVector, InputError, RngStream
+from .core import InputError
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,6 @@ class SharingModel:
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"sharing-model coefficient {name} must be finite")
 
-    def weights(self) -> tuple:
-        return (self.w_humor, self.w_relevance, self.w_selfref)
-
 
 # Calibration artifacts, not empirical estimates: chosen by parameter sweep
 # so that default engine runs stay just below the epidemic threshold and
@@ -43,70 +40,7 @@ DEFAULT_SHARING_MODEL = SharingModel(
 )
 
 
-@dataclass(frozen=True)
-class CreatorModel:
-    """Linear model of a meme's total hits from creator-side ratings."""
-
-    intercept: float
-    weights: tuple
-
-    def __post_init__(self):
-        if not math.isfinite(self.intercept) or not all(
-            math.isfinite(w) for w in self.weights
-        ):
-            raise InputError("creator-model coefficients must be finite")
-
-
-def sigmoid(z: float) -> float:
-    """Numerically stable standard logistic, evaluated via numpy's exp."""
-    t = float(np.exp(-abs(z)))
-    if z >= 0:
-        return 1.0 / (1.0 + t)
-    return t / (1.0 + t)
-
-
 def sigmoid_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized sigmoid; elementwise identical to :func:`sigmoid`."""
+    """Numerically stable standard logistic, elementwise."""
     t = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-
-def linear_score(model: SharingModel, f: FeatureVector) -> float:
-    """The logit: intercept + w.features, evaluated left to right."""
-    return (
-        model.intercept
-        + model.w_humor * f.humor
-        + model.w_relevance * f.self_relevance
-        + model.w_selfref * f.self_reference
-    )
-
-
-def share_probability(model: SharingModel, f: FeatureVector) -> float:
-    """Probability that a consumer with perceived features `f` shares."""
-    for name, v in (
-        ("humor", f.humor),
-        ("self_relevance", f.self_relevance),
-        ("self_reference", f.self_reference),
-    ):
-        if not math.isfinite(v):
-            raise InputError(f"feature {name} must be finite, got {v!r}")
-    return sigmoid(linear_score(model, f))
-
-
-def decide_share(rng: RngStream, p: float) -> bool:
-    """Bernoulli(p) draw from the decisions stream (one uniform consumed)."""
-    if not (0.0 <= p <= 1.0):
-        raise InputError(f"share probability must lie in [0, 1], got {p!r}")
-    return rng.uniform() < p
-
-
-def predict_total_hits(model: CreatorModel, creator_features) -> float:
-    """intercept + dot(weights, features); may be negative (caller clamps)."""
-    if len(creator_features) != len(model.weights):
-        raise InputError(
-            f"expected {len(model.weights)} creator features, got {len(creator_features)}"
-        )
-    total = model.intercept
-    for w, x in zip(model.weights, creator_features):
-        total += w * x
-    return total

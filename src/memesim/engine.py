@@ -16,7 +16,8 @@ t+1 .. t+d and is removed by the recovery phase of tick t+d (a
 recruiter-seeded pair also shares on its creation tick, since the recruit
 phase precedes the share phase).  Re-exposure of an infected pair resets
 the timer by default (`reinfection_resets_timer`).  The share and recovery
-phases are whole-tick array passes that emit a tick's events in one batch.
+phases are whole-tick array passes, and every phase appends its events for
+the tick in one `EventLog.extend` call.
 """
 
 from __future__ import annotations
@@ -29,16 +30,12 @@ import numpy as np
 
 from . import logio
 from .core import (
-    AgentState,
     ConfigurationError,
     EventKind,
     EventRecord,
-    MemeVector,
-    Position,
     RngStream,
     StreamLabel,
     perception_noise_batch,
-    sample_meme_vector,
     wrap_coords,
 )
 from .decision import DEFAULT_SHARING_MODEL, SharingModel, sigmoid_array
@@ -159,48 +156,32 @@ def _is_real(v) -> bool:
 class EventLog:
     """Append-only event store; iteration yields EventRecord in emission order."""
 
-    __slots__ = ("_ticks", "_kinds", "_agents", "_memes")
+    __slots__ = ("ticks", "kinds", "agents", "memes")
 
     def __init__(self):
-        self._ticks = array("q")
-        self._kinds = array("b")
-        self._agents = array("q")
-        self._memes = array("q")  # -1 encodes "no meme" (RECRUIT)
+        self.ticks = array("q")
+        self.kinds = array("b")  # index into EventKind
+        self.agents = array("q")
+        self.memes = array("q")  # -1 encodes "no meme" (RECRUIT)
 
-    def append(self, tick: int, kind_code: int, agent_id: int, meme_id: int):
-        self._ticks.append(tick)
-        self._kinds.append(kind_code)
-        self._agents.append(agent_id)
-        self._memes.append(meme_id)
-
-    def extend(self, tick: int, kinds: np.ndarray, agents: np.ndarray,
-               memes: np.ndarray):
+    def extend(self, tick: int, kinds, agents, memes):
         """Append one tick's events at once, in array order."""
-        self._ticks.frombytes(np.full(len(kinds), tick, dtype=np.int64).tobytes())
-        self._kinds.frombytes(kinds.astype(np.int8).tobytes())
-        self._agents.frombytes(agents.astype(np.int64).tobytes())
-        self._memes.frombytes(memes.astype(np.int64).tobytes())
+        self.ticks.frombytes(np.full(len(kinds), tick, dtype=np.int64).tobytes())
+        self.kinds.frombytes(np.asarray(kinds, dtype=np.int8).tobytes())
+        self.agents.frombytes(np.asarray(agents, dtype=np.int64).tobytes())
+        self.memes.frombytes(np.asarray(memes, dtype=np.int64).tobytes())
 
     def __len__(self) -> int:
-        return len(self._ticks)
+        return len(self.ticks)
 
     def records(self):
-        for tick, code, agent, meme in zip(self._ticks, self._kinds,
-                                           self._agents, self._memes):
+        for tick, code, agent, meme in zip(self.ticks, self.kinds,
+                                           self.agents, self.memes):
             yield EventRecord(tick=tick, kind=_KIND_BY_CODE[code],
                               agent_id=agent, meme_id=None if meme < 0 else meme)
 
     def __iter__(self):
         return self.records()
-
-    def write_lines(self, fileobj):
-        """Fast serialization; byte-identical to logio.emit_line per record."""
-        names = [k.value for k in _KIND_BY_CODE]
-        write = fileobj.write
-        for tick, code, agent, meme in zip(self._ticks, self._kinds,
-                                           self._agents, self._memes):
-            path = "/" if meme < 0 else f"/m/{meme}"
-            write(f'{tick} {agent} "GET {path}" {names[code]}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +270,6 @@ class UniformGrid:
         return ids
 
 
-def neighbor_sets_grid(xs, ys, width, height, radius) -> list:
-    """Per-agent sorted neighbor ids via the bucket grid."""
-    grid = UniformGrid(xs, ys, width, height, radius)
-    ptr, ids = grid.query_many(xs, ys, np.arange(len(xs)))
-    return np.split(ids, ptr[1:-1])
-
-
-def neighbor_sets_bruteforce(xs, ys, width, height, radius) -> list:
-    """Per-agent sorted neighbor ids by checking all O(N^2) pairs."""
-    dx = np.abs(xs[:, None] - xs[None, :])
-    dx = np.minimum(dx, width - dx)
-    dy = np.abs(ys[:, None] - ys[None, :])
-    dy = np.minimum(dy, height - dy)
-    close = np.sqrt(dx * dx + dy * dy) <= radius
-    np.fill_diagonal(close, False)
-    return [np.flatnonzero(close[i]) for i in range(len(xs))]
-
-
 # ---------------------------------------------------------------------------
 # World state and tick phases
 # ---------------------------------------------------------------------------
@@ -315,7 +278,7 @@ class WorldState:
     """Mutable state of a running simulation; built by init_world."""
 
     __slots__ = ("config", "tick", "xs", "ys", "recruited", "recruited_count",
-                 "perception_seeds", "memes", "meme_latents", "meme_count",
+                 "perception_seeds", "meme_latents", "meme_count",
                  "keys", "expiry", "probs", "hits", "cumulative_exposures",
                  "events", "placement", "walk", "meme_content", "decisions",
                  "infected_series", "exposure_series", "_grid")
@@ -337,7 +300,6 @@ class WorldState:
 
         self.recruited = np.zeros(n, dtype=bool)
         self.recruited_count = 0
-        self.memes = []
         self.meme_latents = np.zeros((config.max_memes, config.meme_dim))
         self.meme_count = 0
         self.keys = np.empty(0, dtype=np.int64)
@@ -359,27 +321,7 @@ class WorldState:
                                      self.config.neighbor_radius)
         return self._grid
 
-    def agent_state(self, agent_id: int) -> AgentState:
-        """Materialize the per-agent view at the current tick boundary."""
-        m = self.config.max_memes
-        lo, hi = np.searchsorted(self.keys, [agent_id * m, (agent_id + 1) * m])
-        remaining = {int(key % m): int(expiry - self.tick + 1)
-                     for key, expiry in zip(self.keys[lo:hi], self.expiry[lo:hi])}
-        return AgentState(
-            agent_id=agent_id,
-            position=Position(float(self.xs[agent_id]), float(self.ys[agent_id])),
-            recruited=bool(self.recruited[agent_id]),
-            infections=remaining,
-            perception_noise_seed=int(self.perception_seeds[agent_id]),
-        )
-
-    def meme(self, meme_id: int) -> MemeVector:
-        return self.memes[meme_id]
-
     # -- internals ----------------------------------------------------------
-
-    def _log(self, kind: EventKind, agent_id: int, meme_id: int = -1):
-        self.events.append(self.tick, _KIND_CODE[kind], agent_id, meme_id)
 
     def _infect(self, new_keys: np.ndarray):
         """Infect the pairs `new_keys` (sorted, none infected yet) this tick."""
@@ -394,8 +336,9 @@ class WorldState:
     def _share_probs(self, agents: np.ndarray, meme_ids: np.ndarray) -> np.ndarray:
         """Vectorized share probabilities for (agent, meme) pairs.
 
-        Matches share_probability(model, perceive_features(...)) bit for bit:
-        the linear term is accumulated in the same left-to-right order.
+        Features are the first three latent components plus perception
+        noise; the logit intercept + w . features is accumulated left to
+        right.
         """
         model = self.config.sharing_model
         noise = perception_noise_batch(self.perception_seeds[agents], meme_ids,
@@ -423,6 +366,7 @@ def recruit_step(world: WorldState) -> WorldState:
     cfg = world.config
     if world.tick % cfg.recruit_interval_ticks != 0:
         return world
+    kinds, agents, memes = [], [], []
     seeded = []
     for _ in range(cfg.recruit_batch_size):
         if world.recruited_count >= cfg.recruits:
@@ -431,17 +375,19 @@ def recruit_step(world: WorldState) -> WorldState:
         agent = int(pool[world.placement.randbelow(len(pool))])
         world.recruited[agent] = True
         world.recruited_count += 1
-        world._log(EventKind.RECRUIT, agent)
+        kinds.append(_KIND_CODE[EventKind.RECRUIT])
+        agents.append(agent)
+        memes.append(-1)
         for _ in range(cfg.memes_per_recruit):
             mid = world.meme_count
-            meme = sample_meme_vector(world.meme_content, cfg.meme_dim, mid, agent)
-            world.memes.append(meme)
-            world.meme_latents[mid] = meme.components
+            world.meme_latents[mid] = world.meme_content.normals(cfg.meme_dim)
             world.meme_count += 1
-            world._log(EventKind.CREATE, agent, mid)
-            world._log(EventKind.INFECT, agent, mid)
+            kinds += [_KIND_CODE[EventKind.CREATE], _KIND_CODE[EventKind.INFECT]]
+            agents += [agent, agent]
+            memes += [mid, mid]
             seeded.append(agent * cfg.max_memes + mid)
     if seeded:
+        world.events.extend(world.tick, kinds, agents, memes)
         world._infect(np.sort(np.array(seeded, dtype=np.int64)))
     return world
 
@@ -574,8 +520,10 @@ class SimOutput:
         return self.events.records()
 
     def write_event_log(self, path):
+        events = self.events
         with open(path, "w", newline="") as fh:
-            self.events.write_lines(fh)
+            logio.write_lines(fh, events.ticks, events.kinds, events.agents,
+                              events.memes)
 
     def write_timeseries_csv(self, path):
         with open(path, "w", newline="") as fh:

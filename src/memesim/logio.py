@@ -1,13 +1,14 @@
-"""Access-log-style event lines: emit, parse, and aggregate.
+"""Access-log-style event lines: write, parse, and aggregate.
 
 Wire format, one event per line, LF-terminated:
 
     <tick> <agent_id> "GET /m/<meme_id>" <event_kind>
 
-`tick`, `agent_id` and `meme_id` are unsigned decimal integers and
+`tick`, `agent_id` and `meme_id` are unsigned ASCII decimal integers and
 `event_kind` is one of RECRUIT, CREATE, SHARE, EXPOSE, INFECT, RECOVER.
 RECRUIT events carry no meme, so their request path is the bare site
-root: `"GET /"`.  parse_line(emit_line(r)) == r for every valid record.
+root: `"GET /"`.  write_lines is the one serializer of the grammar and
+parse_line its inverse: parsing a written line gives back its record.
 """
 
 from __future__ import annotations
@@ -37,25 +38,24 @@ class LogParseError(ValueError):
 # Line codec
 # ---------------------------------------------------------------------------
 
-def emit_line(record: EventRecord) -> str:
-    """Serialize one record to its log line (including the trailing LF)."""
-    if not isinstance(record.kind, EventKind):
-        raise InputError(f"unknown event kind {record.kind!r}")
-    if record.tick < 0 or record.agent_id < 0:
-        raise InputError("tick and agent_id must be non-negative")
-    if record.kind is EventKind.RECRUIT:
-        if record.meme_id is not None:
-            raise InputError("RECRUIT records carry no meme_id")
-        path = "/"
-    else:
-        if record.meme_id is None or record.meme_id < 0:
-            raise InputError(f"{record.kind.value} records need a non-negative meme_id")
-        path = f"/m/{record.meme_id}"
-    return f'{record.tick} {record.agent_id} "GET {path}" {record.kind.value}\n'
+def write_lines(fh, ticks, kinds, agents, memes):
+    """Write events given as columns, one line each, to the text file `fh`.
+
+    kinds[i] is the index of the event's kind in EventKind, and memes[i] is
+    negative for a RECRUIT, which carries no meme.
+    """
+    names = [kind.value for kind in EventKind]
+    write = fh.write
+    for tick, code, agent, meme in zip(ticks, kinds, agents, memes):
+        path = "/" if meme < 0 else f"/m/{meme}"
+        write(f'{tick} {agent} "GET {path}" {names[code]}\n')
 
 
 def parse_line(line: str, lineno: int | None = None) -> EventRecord:
     """Parse one log line (trailing LF optional); total over valid lines."""
+    if not line.isascii():
+        # str.isdigit and int accept non-ASCII digits such as '²' and '٣'.
+        raise LogParseError("line is not ASCII", lineno, token=line.rstrip("\n"))
     text = line[:-1] if line.endswith("\n") else line
     chunks = text.split('"')
     if len(chunks) != 3:
@@ -110,15 +110,14 @@ def parse_lines(lines):
 
 
 def read_log(path):
-    """Stream records from a log file."""
-    with open(path, "r", newline="") as fh:
+    """Stream records from a log file.
+
+    Undecodable bytes become lone surrogates, so they fail parse_line's
+    ASCII check with a line number instead of a UnicodeDecodeError.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         yield from parse_lines(fh)
-
-
-def write_log(records, path):
-    with open(path, "w", newline="") as fh:
-        for record in records:
-            fh.write(emit_line(record))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,9 @@ class HitSummary:
         }
 
 
-def _finalize(per_meme, bins, bin_width, counted_kinds) -> HitSummary:
+def summary_from_counts(per_meme: dict, bins: dict, bin_width_ticks: int,
+                        counted_kinds) -> HitSummary:
+    """Build a HitSummary from already-aggregated tables (e.g. engine output)."""
     counts = list(per_meme.values())
     total = sum(counts)
     return HitSummary(
@@ -163,15 +164,9 @@ def _finalize(per_meme, bins, bin_width, counted_kinds) -> HitSummary:
         if counts else 0.0,
         per_meme=per_meme,
         bins=bins,
-        bin_width_ticks=bin_width,
+        bin_width_ticks=bin_width_ticks,
         counted_kinds=tuple(sorted(k.value for k in counted_kinds)),
     )
-
-
-def summary_from_counts(per_meme: dict, bins: dict, bin_width_ticks: int,
-                        counted_kinds) -> HitSummary:
-    """Build a HitSummary from already-aggregated tables (e.g. engine output)."""
-    return _finalize(per_meme, bins, bin_width_ticks, frozenset(counted_kinds))
 
 
 def aggregate_hits(records, counted_kinds=None, bin_width_ticks: int = 1) -> HitSummary:
@@ -199,21 +194,7 @@ def aggregate_hits(records, counted_kinds=None, bin_width_ticks: int = 1) -> Hit
             per_meme[meme_id] = per_meme.get(meme_id, 0) + 1
             bin_start = (record.tick // bin_width_ticks) * bin_width_ticks
             bins[bin_start] = bins.get(bin_start, 0) + 1
-    return _finalize(per_meme, bins, bin_width_ticks, counted)
-
-
-def merge_summaries(a: HitSummary, b: HitSummary) -> HitSummary:
-    """Combine two summaries built with identical aggregation settings."""
-    if a.bin_width_ticks != b.bin_width_ticks or a.counted_kinds != b.counted_kinds:
-        raise InputError("summaries were built with different aggregation settings")
-    per_meme = dict(a.per_meme)
-    for meme_id, count in b.per_meme.items():
-        per_meme[meme_id] = per_meme.get(meme_id, 0) + count
-    bins = dict(a.bins)
-    for start, count in b.bins.items():
-        bins[start] = bins.get(start, 0) + count
-    counted = frozenset(_KIND_BY_NAME[name] for name in a.counted_kinds)
-    return _finalize(per_meme, bins, a.bin_width_ticks, counted)
+    return summary_from_counts(per_meme, bins, bin_width_ticks, counted)
 
 
 # ---------------------------------------------------------------------------

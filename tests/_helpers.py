@@ -1,16 +1,125 @@
-"""Shared verification helpers for engine and acceptance tests."""
+"""Shared verification helpers: scalar oracles, the SIS transition checker
+and a scalar reference engine.
+
+The oracles are the one-value-at-a-time forms of what the package computes
+in batches.  Tests compare the package against them; nothing in the
+package calls them.
+"""
+
+import math
 
 import numpy as np
 
+from memesim import logio
 from memesim.core import (
-    AgentState,
     EventKind,
-    Position,
-    perceive_features,
-    sample_meme_vector,
+    EventRecord,
+    InputError,
+    _raw_block,
+    _to_normal,
+    substream_seed,
 )
-from memesim.decision import share_probability
-from memesim.engine import EventLog, init_world, walk_step
+from memesim.engine import _KIND_CODE, UniformGrid, init_world, walk_step
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles
+# ---------------------------------------------------------------------------
+
+def wrap_scalar(v: float, span: float) -> float:
+    """Wrap one coordinate into [0, span) with Python float arithmetic."""
+    w = v % span
+    # Float modulo can round up to exactly `span` for tiny negative inputs.
+    if w >= span:
+        w -= span
+    return w
+
+
+def torus_distance(p, q, width: float, height: float) -> float:
+    """Minimum Euclidean distance between points p and q over wrapped images."""
+    dx = abs(p[0] - q[0])
+    dx = min(dx, width - dx)
+    dy = abs(p[1] - q[1])
+    dy = min(dy, height - dy)
+    return float(np.sqrt(dx * dx + dy * dy))
+
+
+def neighbor_sets_bruteforce(xs, ys, width, height, radius) -> list:
+    """Per-agent sorted neighbor ids by checking all O(N^2) pairs."""
+    dx = np.abs(xs[:, None] - xs[None, :])
+    dx = np.minimum(dx, width - dx)
+    dy = np.abs(ys[:, None] - ys[None, :])
+    dy = np.minimum(dy, height - dy)
+    close = np.sqrt(dx * dx + dy * dy) <= radius
+    np.fill_diagonal(close, False)
+    return [np.flatnonzero(close[i]) for i in range(len(xs))]
+
+
+def grid_neighbor_sets(xs, ys, width, height, radius) -> list:
+    """The same sets from the engine's grid, in one UniformGrid.query_many call."""
+    grid = UniformGrid(xs, ys, width, height, radius)
+    ptr, ids = grid.query_many(xs, ys, np.arange(len(xs)))
+    return np.split(ids, ptr[1:-1])
+
+
+def keyed_normals(state: int, count: int) -> np.ndarray:
+    """First `count` normals of the substream with base state `state`."""
+    return _to_normal(_raw_block(state, 2 * count))
+
+
+def sigmoid(z: float) -> float:
+    """Numerically stable standard logistic, evaluated via numpy's exp."""
+    t = float(np.exp(-abs(z)))
+    if z >= 0:
+        return 1.0 / (1.0 + t)
+    return t / (1.0 + t)
+
+
+def perceive_features(perception_seed: int, meme_id: int, components,
+                      noise_sd: float) -> tuple:
+    """(humor, self_relevance, self_reference) as one agent perceives a meme:
+    its first three latent components plus noise keyed by (seed, meme_id)."""
+    if noise_sd == 0.0:
+        noise = (0.0, 0.0, 0.0)
+    else:
+        noise = keyed_normals(substream_seed(perception_seed, meme_id), 3) * noise_sd
+    return tuple(float(components[j] + noise[j]) for j in range(3))
+
+
+def share_probability(model, features) -> float:
+    """Probability that a consumer with perceived `features` shares."""
+    for name, v in zip(("humor", "self_relevance", "self_reference"), features):
+        if not math.isfinite(v):
+            raise InputError(f"feature {name} must be finite, got {v!r}")
+    humor, relevance, selfref = features
+    z = (model.intercept + model.w_humor * humor + model.w_relevance * relevance
+         + model.w_selfref * selfref)
+    return sigmoid(z)
+
+
+def emit_line(record: EventRecord) -> str:
+    """Serialize one record to its log line: the grammar, one record at a time."""
+    if not isinstance(record.kind, EventKind):
+        raise InputError(f"unknown event kind {record.kind!r}")
+    if record.tick < 0 or record.agent_id < 0:
+        raise InputError("tick and agent_id must be non-negative")
+    if record.kind is EventKind.RECRUIT:
+        if record.meme_id is not None:
+            raise InputError("RECRUIT records carry no meme_id")
+        path = "/"
+    else:
+        if record.meme_id is None or record.meme_id < 0:
+            raise InputError(f"{record.kind.value} records need a non-negative meme_id")
+        path = f"/m/{record.meme_id}"
+    return f'{record.tick} {record.agent_id} "GET {path}" {record.kind.value}\n'
+
+
+def write_records(fh, records):
+    """Write records through logio.write_lines, the package's one serializer."""
+    logio.write_lines(fh, [r.tick for r in records],
+                      [_KIND_CODE[r.kind] for r in records],
+                      [r.agent_id for r in records],
+                      [-1 if r.meme_id is None else r.meme_id for r in records])
 
 
 def check_event_log(records, horizon=None):
@@ -80,15 +189,15 @@ class ReferenceRun:
     This is the share and recovery loop the engine ran before its infection
     state became arrays.  It borrows placement, the walk and the random
     streams from a real WorldState, but keeps its own infection dict, expiry
-    buckets with lazy deletion and event log.  Neighbors come from a
-    brute-force torus scan and share probabilities from the scalar contract
-    path (share_probability of perceive_features), so no grid or vectorized
-    probability code is shared with the engine under test.
+    buckets with lazy deletion and list of event records.  Neighbors come
+    from a brute-force torus scan and share probabilities from the scalar
+    contract path (share_probability of perceive_features), so no grid or
+    vectorized probability code is shared with the engine under test.
     """
 
     def __init__(self, config):
         self.world = init_world(config)
-        self.events = EventLog()
+        self.events = []
         self.infections = {}
         self.buckets = {}
         self.probs = {}
@@ -107,9 +216,8 @@ class ReferenceRun:
             self.world.tick += 1
         return self
 
-    def log(self, kind, agent_id, meme_id=-1):
-        self.events.append(self.world.tick, list(EventKind).index(kind),
-                           agent_id, meme_id)
+    def log(self, kind, agent_id, meme_id=None):
+        self.events.append(EventRecord(self.world.tick, kind, agent_id, meme_id))
 
     def infect(self, key):
         expiry = self.world.tick + self.world.config.infection_duration_ticks
@@ -130,9 +238,7 @@ class ReferenceRun:
             self.log(EventKind.RECRUIT, agent)
             for _ in range(cfg.memes_per_recruit):
                 mid = world.meme_count
-                meme = sample_meme_vector(world.meme_content, cfg.meme_dim, mid, agent)
-                world.memes.append(meme)
-                world.meme_latents[mid] = meme.components
+                world.meme_latents[mid] = world.meme_content.normals(cfg.meme_dim)
                 world.meme_count += 1
                 self.log(EventKind.CREATE, agent, mid)
                 self.log(EventKind.INFECT, agent, mid)
@@ -141,9 +247,9 @@ class ReferenceRun:
     def probability(self, key):
         if key not in self.probs:
             world, cfg = self.world, self.world.config
-            agent = AgentState(agent_id=key[0], position=Position(0.0, 0.0),
-                               perception_noise_seed=int(world.perception_seeds[key[0]]))
-            feats = perceive_features(agent, world.memes[key[1]],
+            agent, meme_id = key
+            feats = perceive_features(int(world.perception_seeds[agent]), meme_id,
+                                      world.meme_latents[meme_id],
                                       cfg.perception_noise_sd)
             self.probs[key] = share_probability(cfg.sharing_model, feats)
         return self.probs[key]

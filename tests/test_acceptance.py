@@ -5,6 +5,7 @@ per criterion.  The twenty seeded full-scale runs are shared between the
 distribution-shape criteria through a session fixture.
 """
 
+import io
 import json
 import random
 import statistics
@@ -14,17 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import check_event_log
+from _helpers import (
+    check_event_log,
+    grid_neighbor_sets,
+    neighbor_sets_bruteforce,
+    write_records,
+)
 from memesim import logio
 from memesim.cli import main
 from memesim.core import EventKind, EventRecord
 from memesim.decision import SharingModel
-from memesim.engine import (
-    SimConfig,
-    neighbor_sets_bruteforce,
-    neighbor_sets_grid,
-    run,
-)
+from memesim.engine import SimConfig, run
 from memesim.stats import DesignMatrix, logistic_fit, logistic_log_likelihood, ols_fit
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -146,7 +147,7 @@ def test_neighbor_oracle_equivalence():
         radius = float(rng.uniform(0.5, 0.5 * min(w, h)))
         xs = rng.uniform(0, w, n)
         ys = rng.uniform(0, h, n)
-        grid_sets = neighbor_sets_grid(xs, ys, w, h, radius)
+        grid_sets = grid_neighbor_sets(xs, ys, w, h, radius)
         brute_sets = neighbor_sets_bruteforce(xs, ys, w, h, radius)
         for g, b in zip(grid_sets, brute_sets):
             if not np.array_equal(g, b):
@@ -209,18 +210,21 @@ def test_pipeline_closure(tmp_path):
               summary.per_meme == out.per_meme_hits,
               f"({len(out.per_meme_hits)} memes, {len(out.events)} events)")
 
-    # Emit/parse round trip over 10,000 random records.
+    # Write/parse round trip over 10,000 random records.
     rng = random.Random(777)
     kinds = list(EventKind)
-    bad = 0
+    records = []
     for _ in range(10_000):
         kind = rng.choice(kinds)
-        rec = EventRecord(
+        records.append(EventRecord(
             tick=rng.randrange(0, 10**6), kind=kind,
             agent_id=rng.randrange(0, 10**6),
-            meme_id=None if kind is EventKind.RECRUIT else rng.randrange(0, 10**6))
-        if logio.parse_line(logio.emit_line(rec)) != rec:
-            bad += 1
+            meme_id=None if kind is EventKind.RECRUIT else rng.randrange(0, 10**6)))
+    buf = io.StringIO()
+    write_records(buf, records)
+    lines = buf.getvalue().splitlines()
+    bad = sum(logio.parse_line(line) != rec for line, rec in zip(lines, records))
+    bad += abs(len(lines) - len(records))
     criterion("log line round trip over 10,000 records", bad == 0,
               f"({bad} mismatches)")
 

@@ -199,6 +199,18 @@ def test_sweep_rejects_invalid_point(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("value", ["x", None, True])
+def test_sweep_rejects_non_numeric_model_axis_value(tmp_path, capsys, value):
+    # The same rule as the top-level sharing_model: numbers only.
+    axes = {"sharing_model.intercept": [-5.0, value]}
+    cfg = write_config(tmp_path, _sweep_doc(axes, 1))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:") and "sharing_model.intercept" in err
+    assert not (out / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -267,6 +279,19 @@ def test_analyze_malformed_log_exits_4(tmp_path, capsys):
     assert err.startswith("parse-error") and "line 2" in err
 
 
+@pytest.mark.parametrize("first", [
+    "\u00b2".encode(),              # superscript two: isdigit, not int
+    "\u0663".encode(),              # Arabic-Indic three: int() gives 3
+    b"\xff",                        # not UTF-8
+], ids=["superscript-two", "arabic-indic-three", "byte-ff"])
+def test_analyze_non_ascii_log_exits_4(tmp_path, capsys, first):
+    bad = tmp_path / "bad.log"
+    bad.write_bytes(b'0 1 "GET /" RECRUIT\n' + first + b' 1 "GET /m/0" EXPOSE\n')
+    assert main(["analyze", "--log", str(bad), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("parse-error") and "line 2" in err
+
+
 def test_analyze_bad_bin_exits_4(tmp_path):
     assert main(["analyze", "--log", str(FIXTURES / "tiny.log"),
                  "--bin", "0", "--out", str(tmp_path / "o")]) == 4
@@ -288,6 +313,21 @@ def test_analyze_comparison_panel(tmp_path):
                  "--bin", "10", "--out", str(an2),
                  "--sim-timeseries", str(sim_out / "timeseries.csv")]) == 0
     assert (an2 / "comparison.svg").read_text() == svg
+
+
+@pytest.mark.parametrize("rows,lineno", [
+    ("0,1,2\n1,1,3\n\n", 4),
+    ("0,1,2\n1,1,x\n", 3),
+], ids=["trailing-blank-line", "non-integer-cell"])
+def test_analyze_malformed_sim_timeseries_exits_4(tmp_path, capsys, rows, lineno):
+    series = tmp_path / "timeseries.csv"
+    series.write_text("tick,currently_infected,cumulative_exposures\n" + rows)
+    assert main(["analyze", "--log", str(FIXTURES / "tiny.log"),
+                 "--out", str(tmp_path / "o"),
+                 "--sim-timeseries", str(series)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input-error") and str(series) in err
+    assert f"line {lineno}" in err
 
 
 # ---------------------------------------------------------------------------

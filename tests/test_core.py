@@ -1,30 +1,23 @@
-"""Core layer: random streams, sampling, torus geometry, perception."""
+"""Core layer: random streams, the torus wrap, perception noise."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import keyed_normals, perceive_features, torus_distance, wrap_scalar
 from memesim.core import (
-    AgentState,
-    ConfigurationError,
-    MemeVector,
-    Position,
     RngStream,
     StreamLabel,
-    keyed_normals,
     mix64,
-    perceive_features,
     perception_noise_batch,
-    sample_meme_vector,
-    sample_standard_normal,
     substream_seed,
-    torus_displace,
-    torus_distance,
     wrap_coords,
+    _keyed_normals_batch,
     _mix64_u64,
     _substream_seeds_u64,
 )
+from memesim.engine import SimConfig, init_world, recruit_step
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +46,14 @@ def test_streams_with_different_labels_differ():
 
 
 # ---------------------------------------------------------------------------
-# sample_standard_normal
+# Normal draws
 # ---------------------------------------------------------------------------
 
 def test_normal_determinism_same_seed():
     a = RngStream(123, StreamLabel.MEME_CONTENT)
     b = RngStream(123, StreamLabel.MEME_CONTENT)
-    first = [sample_standard_normal(a), sample_standard_normal(a)]
-    second = [sample_standard_normal(b), sample_standard_normal(b)]
+    first = [a.normal(), a.normal()]
+    second = [b.normal(), b.normal()]
     assert first == second
 
 
@@ -98,26 +91,28 @@ def test_uniforms_in_unit_interval():
 
 
 # ---------------------------------------------------------------------------
-# sample_meme_vector
+# Meme content
 # ---------------------------------------------------------------------------
 
 def test_meme_vector_shape_and_determinism():
-    meme = sample_meme_vector(RngStream(4, StreamLabel.MEME_CONTENT), 3, 7, 11)
-    assert len(meme.components) == 3
-    assert meme.meme_id == 7 and meme.creator_id == 11
-    again = sample_meme_vector(RngStream(4, StreamLabel.MEME_CONTENT), 3, 7, 11)
-    assert meme == again
+    # Recruits write fresh meme-content normals straight into meme_latents,
+    # one row of meme_dim draws per meme in creation order.
+    cfg = SimConfig(population=40, recruits=4, memes_per_recruit=2,
+                    recruit_batch_size=4, meme_dim=5, master_seed=4)
+    world = recruit_step(init_world(cfg))
+    assert world.meme_count == 8 and world.meme_latents.shape == (8, 5)
+    expected = RngStream(4, StreamLabel.MEME_CONTENT).normals(8 * 5).reshape(8, 5)
+    assert np.array_equal(world.meme_latents, expected)
+    again = recruit_step(init_world(cfg))
+    assert np.array_equal(world.meme_latents, again.meme_latents)
 
 
 def test_meme_vector_rejects_zero_dim():
-    with pytest.raises(ConfigurationError):
-        sample_meme_vector(RngStream(4, StreamLabel.MEME_CONTENT), 0, 0, 0)
+    assert "meme_dim" in dict(SimConfig(meme_dim=0).validate())
 
 
 def test_meme_component_means():
-    rng = RngStream(31337, StreamLabel.MEME_CONTENT)
-    comps = np.array([sample_meme_vector(rng, 3, i, 0).components
-                      for i in range(10_000)])
+    comps = RngStream(31337, StreamLabel.MEME_CONTENT).normals(3 * 10_000).reshape(-1, 3)
     assert np.all(np.abs(comps.mean(axis=0)) < 0.05)  # SE is 0.01 per axis
 
 
@@ -125,32 +120,34 @@ def test_meme_component_means():
 # Torus geometry
 # ---------------------------------------------------------------------------
 
+def _displace(x, dx, span):
+    return float(wrap_coords(np.array([x + dx]), span)[0])
+
+
 def test_displace_identity():
-    assert torus_displace(Position(10, 10), 0, 0, 200, 200) == Position(10, 10)
+    assert _displace(10.0, 0.0, 200.0) == 10.0
 
 
 def test_displace_wraps_forward():
-    p = torus_displace(Position(199.5, 0), 1.0, 0, 200, 200)
-    assert p.x == pytest.approx(0.5) and p.y == 0
+    assert _displace(199.5, 1.0, 200.0) == pytest.approx(0.5)
 
 
 def test_displace_wraps_backward():
-    p = torus_displace(Position(0, 0), -0.5, 0, 200, 200)
-    assert p.x == pytest.approx(199.5) and p.y == 0
+    assert _displace(0.0, -0.5, 200.0) == pytest.approx(199.5)
 
 
 def test_distance_identity_and_symmetry():
-    p, q = Position(3.25, 7.5), Position(190.0, 199.0)
+    p, q = (3.25, 7.5), (190.0, 199.0)
     assert torus_distance(p, p, 200, 200) == 0.0
     assert torus_distance(p, q, 200, 200) == torus_distance(q, p, 200, 200)
 
 
 def test_distance_wraps():
-    assert torus_distance(Position(1, 0), Position(199, 0), 200, 200) == pytest.approx(2.0)
+    assert torus_distance((1, 0), (199, 0), 200, 200) == pytest.approx(2.0)
 
 
 def test_distance_diagonal():
-    d = torus_distance(Position(0, 0), Position(100, 100), 200, 200)
+    d = torus_distance((0, 0), (100, 100), 200, 200)
     assert d == pytest.approx(141.4213562373095, abs=1e-12)  # 100 * sqrt(2)
 
 
@@ -161,9 +158,8 @@ def test_distance_diagonal():
     dy=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
 def test_displace_always_in_bounds(x, y, dx, dy):
-    p = torus_displace(Position(x, y), dx, dy, 200.0, 150.0)
-    assert 0.0 <= p.x < 200.0
-    assert 0.0 <= p.y < 150.0
+    assert 0.0 <= _displace(x, dx, 200.0) < 200.0
+    assert 0.0 <= _displace(y, dy, 150.0) < 150.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,7 +168,7 @@ def test_displace_always_in_bounds(x, y, dx, dy):
     qx=st.floats(0, 199.999), qy=st.floats(0, 149.999),
 )
 def test_distance_symmetric_and_bounded(px, py, qx, qy):
-    p, q = Position(px, py), Position(qx, qy)
+    p, q = (px, py), (qx, qy)
     d = torus_distance(p, q, 200.0, 150.0)
     assert d == torus_distance(q, p, 200.0, 150.0)
     assert d <= 200.0 / np.sqrt(2) + 150.0 / np.sqrt(2)
@@ -181,7 +177,7 @@ def test_distance_symmetric_and_bounded(px, py, qx, qy):
 def test_triangle_inequality_random_points():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        pts = [Position(*xy) for xy in rng.uniform(0, 200, size=(3, 2))]
+        pts = rng.uniform(0, 200, size=(3, 2))
         d01 = torus_distance(pts[0], pts[1], 200, 200)
         d12 = torus_distance(pts[1], pts[2], 200, 200)
         d02 = torus_distance(pts[0], pts[2], 200, 200)
@@ -193,7 +189,7 @@ def test_wrap_coords_matches_scalar_path():
     vals = np.concatenate([rng.uniform(-500, 500, 1000), [-1e-18, 0.0, 200.0, -200.0]])
     vec = wrap_coords(vals, 200.0)
     for v, w in zip(vals, vec):
-        assert torus_displace(Position(0.0, 0.0), float(v), 0.0, 200.0, 200.0).x == w
+        assert wrap_scalar(float(v), 200.0) == w
     assert np.all(vec >= 0.0) and np.all(vec < 200.0)
 
 
@@ -201,28 +197,22 @@ def test_wrap_coords_matches_scalar_path():
 # Perception
 # ---------------------------------------------------------------------------
 
-def _agent(seed=99):
-    return AgentState(agent_id=0, position=Position(0, 0), perception_noise_seed=seed)
-
-
 def test_perceive_zero_noise_is_identity():
-    meme = MemeVector(0, 0, (0.5, -1.25, 2.0))
-    f = perceive_features(_agent(), meme, 0.0)
-    assert f.as_tuple() == (0.5, -1.25, 2.0)
+    seeds = np.array([99, 7], dtype=np.uint64)
+    assert np.array_equal(perception_noise_batch(seeds, np.array([0, 3]), 0.0),
+                          np.zeros((2, 3)))
 
 
 def test_perceive_deterministic_per_agent_meme():
-    meme = MemeVector(3, 0, (0.1, 0.2, 0.3))
-    a = perceive_features(_agent(7), meme, 0.5)
-    b = perceive_features(_agent(7), meme, 0.5)
-    assert a == b
-    other_agent = perceive_features(_agent(8), meme, 0.5)
-    assert a != other_agent
+    seeds = np.array([7, 7, 8], dtype=np.uint64)
+    noise = perception_noise_batch(seeds, np.array([3, 3, 3]), 0.5)
+    assert np.array_equal(noise[0], noise[1])
+    assert not np.array_equal(noise[0], noise[2])  # another agent disagrees
 
 
 def test_perceive_rejects_short_meme():
-    with pytest.raises(ConfigurationError):
-        perceive_features(_agent(), MemeVector(0, 0, (1.0, 2.0)), 0.5)
+    # The first three meme components feed the sharing model.
+    assert "meme_dim" in dict(SimConfig(meme_dim=2).validate())
 
 
 def test_perception_noise_sd():
@@ -235,17 +225,18 @@ def test_perception_noise_sd():
 
 
 def test_perception_batch_matches_scalar():
-    meme = MemeVector(41, 0, (0.4, -0.2, 1.1))
+    meme_id, components = 41, (0.4, -0.2, 1.1)
     seeds = np.array([123456789, 987654321], dtype=np.uint64)
-    batch = perception_noise_batch(seeds, np.array([41, 41]), 0.5)
+    batch = perception_noise_batch(seeds, np.array([meme_id, meme_id]), 0.5)
     for row, seed in zip(batch, seeds):
-        scalar_noise = keyed_normals(substream_seed(int(seed), meme.meme_id), 3) * 0.5
+        scalar_noise = keyed_normals(substream_seed(int(seed), meme_id), 3) * 0.5
         assert np.array_equal(row, scalar_noise)
-        f = perceive_features(_agent(int(seed)), meme, 0.5)
-        expect = tuple(float(c + n) for c, n in zip(meme.components, scalar_noise))
-        assert f.as_tuple() == expect
+        f = perceive_features(int(seed), meme_id, components, 0.5)
+        assert f == tuple(float(c + n) for c, n in zip(components, scalar_noise))
 
 
 def test_keyed_normals_stateless():
-    key = substream_seed(42, 7)
-    assert np.array_equal(keyed_normals(key, 3), keyed_normals(key, 3))
+    keys = np.array([substream_seed(42, 7)] * 2, dtype=np.uint64)
+    rows = _keyed_normals_batch(keys, 3)
+    assert np.array_equal(rows[0], rows[1])
+    assert np.array_equal(rows, _keyed_normals_batch(keys, 3))

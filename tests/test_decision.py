@@ -1,22 +1,19 @@
-"""Sharing-decision models: logistic consumer model, linear creator model."""
+"""Sharing model: the logistic share probability and the share decision.
+
+Share probabilities are checked on the scalar contract path in _helpers,
+which the engine's batched path must match bit for bit (test_engine).
+"""
 
 import numpy as np
 import pytest
 
-from memesim.core import FeatureVector, InputError, RngStream, StreamLabel
-from memesim.decision import (
-    CreatorModel,
-    SharingModel,
-    decide_share,
-    predict_total_hits,
-    share_probability,
-    sigmoid,
-    sigmoid_array,
-)
+from _helpers import share_probability, sigmoid
+from memesim.core import InputError, RngStream, StreamLabel
+from memesim.decision import SharingModel, sigmoid_array
 
 
 def _f(h=0.0, r=0.0, s=0.0):
-    return FeatureVector(humor=h, self_relevance=r, self_reference=s)
+    return (h, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -97,71 +94,35 @@ def test_sigmoid_array_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# decide_share
+# Share decision: a pair with probability p shares when its decisions-stream
+# uniform u satisfies u < p.
 # ---------------------------------------------------------------------------
+
+def _decide(rng, p, n):
+    return rng.uniforms(n) < p
+
 
 def test_decide_share_degenerate_probabilities():
     rng = RngStream(0, StreamLabel.DECISIONS)
-    assert all(not decide_share(rng, 0.0) for _ in range(100))
-    assert all(decide_share(rng, 1.0) for _ in range(100))
-
-
-def test_decide_share_rejects_out_of_range():
-    rng = RngStream(0, StreamLabel.DECISIONS)
-    for bad in (-0.1, 1.1, float("nan")):
-        with pytest.raises(InputError):
-            decide_share(rng, bad)
+    assert not _decide(rng, 0.0, 100).any()
+    assert _decide(rng, 1.0, 100).all()
 
 
 def test_decide_share_frequency():
     rng = RngStream(8, StreamLabel.DECISIONS)
-    hits = sum(decide_share(rng, 0.5) for _ in range(10_000))
+    hits = int(_decide(rng, 0.5, 10_000).sum())
     assert abs(hits / 10_000 - 0.5) < 0.015  # 3-sigma binomial bound
 
 
 def test_decide_share_reproducible():
     a = RngStream(77, StreamLabel.DECISIONS)
     b = RngStream(77, StreamLabel.DECISIONS)
-    seq_a = [decide_share(a, 0.3) for _ in range(50)]
-    seq_b = [decide_share(b, 0.3) for _ in range(50)]
-    assert seq_a == seq_b
+    assert np.array_equal(_decide(a, 0.3, 50), _decide(b, 0.3, 50))
 
 
 def test_decide_share_converges_at_binomial_rate():
     for p in (0.1, 0.7):
         rng = RngStream(5, StreamLabel.DECISIONS)
         n = 20_000
-        freq = sum(decide_share(rng, p) for _ in range(n)) / n
+        freq = _decide(rng, p, n).mean()
         assert abs(freq - p) <= 3 * np.sqrt(p * (1 - p) / n)
-
-
-# ---------------------------------------------------------------------------
-# predict_total_hits
-# ---------------------------------------------------------------------------
-
-def test_constant_model():
-    model = CreatorModel(intercept=5.0, weights=(0.0, 0.0))
-    assert predict_total_hits(model, [12.0, -4.0]) == 5.0
-
-
-def test_dot_product():
-    model = CreatorModel(intercept=0.0, weights=(1.0, 1.0))
-    assert predict_total_hits(model, [2.0, 3.0]) == 5.0
-
-
-def test_length_mismatch_rejected():
-    model = CreatorModel(intercept=0.0, weights=(1.0, 1.0))
-    with pytest.raises(InputError):
-        predict_total_hits(model, [1.0])
-
-
-def test_linearity():
-    rng = np.random.default_rng(3)
-    model = CreatorModel(intercept=0.0, weights=tuple(rng.normal(size=4)))
-    f = rng.normal(size=4)
-    g = rng.normal(size=4)
-    # Homogeneity and additivity hold to float round-off.
-    assert predict_total_hits(model, 2.5 * f) == pytest.approx(
-        2.5 * predict_total_hits(model, f), rel=1e-12)
-    assert predict_total_hits(model, f + g) == pytest.approx(
-        predict_total_hits(model, f) + predict_total_hits(model, g), rel=1e-12)

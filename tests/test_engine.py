@@ -5,16 +5,22 @@ import io
 import numpy as np
 import pytest
 
-from _helpers import ReferenceRun, check_event_log
-from memesim.core import ConfigurationError, EventKind, torus_distance, Position
-from memesim.decision import SharingModel, share_probability
-from memesim.core import perceive_features
+from _helpers import (
+    ReferenceRun,
+    check_event_log,
+    emit_line,
+    grid_neighbor_sets,
+    neighbor_sets_bruteforce,
+    perceive_features,
+    share_probability,
+    torus_distance,
+)
+from memesim.core import ConfigurationError, EventKind
+from memesim.decision import SharingModel
 from memesim.engine import (
     SimConfig,
     UniformGrid,
     init_world,
-    neighbor_sets_bruteforce,
-    neighbor_sets_grid,
     recovery_step,
     recruit_step,
     run,
@@ -138,13 +144,11 @@ def test_recruited_agents_start_infected():
     # full duration ahead of it.
     world = init_world(small_config(memes_per_recruit=2, sharing_model=NEVER))
     step(world)
-    agent = int(np.flatnonzero(world.recruited)[0])
-    state = world.agent_state(agent)
-    assert state.recruited
-    assert set(state.infections) == {0, 1}
-    assert all(v == world.config.infection_duration_ticks
-               for v in state.infections.values())
-    assert all(v >= 1 for v in state.infections.values())
+    (agent,) = np.flatnonzero(world.recruited)
+    agents, memes = np.divmod(world.keys, world.config.max_memes)
+    assert list(agents) == [agent, agent] and list(memes) == [0, 1]
+    remaining = world.expiry - world.tick + 1
+    assert list(remaining) == [world.config.infection_duration_ticks] * 2
 
 
 def test_full_scale_recruitment_totals():
@@ -180,8 +184,8 @@ def test_walk_stays_in_bounds_and_moves_step_size():
         assert np.all((world.xs >= 0) & (world.xs < cfg.world_width))
         assert np.all((world.ys >= 0) & (world.ys < cfg.world_height))
         for i in range(0, cfg.population, 7):
-            d = torus_distance(Position(before[0][i], before[1][i]),
-                               Position(world.xs[i], world.ys[i]),
+            d = torus_distance((before[0][i], before[1][i]),
+                               (world.xs[i], world.ys[i]),
                                cfg.world_width, cfg.world_height)
             assert d == pytest.approx(1.5, rel=1e-12)
 
@@ -432,8 +436,8 @@ def test_engine_probability_cache_matches_contract_path():
     assert len(world.keys) == len(world.probs) > 0
     for key, stored in list(zip(world.keys, world.probs))[:50]:
         agent_id, meme_id = divmod(int(key), cfg.max_memes)
-        f = perceive_features(world.agent_state(agent_id), world.meme(meme_id),
-                              cfg.perception_noise_sd)
+        f = perceive_features(int(world.perception_seeds[agent_id]), meme_id,
+                              world.meme_latents[meme_id], cfg.perception_noise_sd)
         assert share_probability(cfg.sharing_model, f) == stored
 
 
@@ -476,10 +480,11 @@ def test_engine_matches_scalar_reference():
     for cfg in differential_configs():
         out = run(cfg)
         ref = ReferenceRun(cfg).run()
-        got, want = io.StringIO(), io.StringIO()
-        out.events.write_lines(got)
-        ref.events.write_lines(want)
-        got, want = got.getvalue().splitlines(), want.getvalue().splitlines()
+        got = io.StringIO()
+        events = out.events
+        logio.write_lines(got, events.ticks, events.kinds, events.agents, events.memes)
+        got = got.getvalue().splitlines()
+        want = [emit_line(rec).rstrip("\n") for rec in ref.events]
         same = got == want  # kept out of the assert: a diff of 10^5 lines is slow
         first = next((i for i, pair in enumerate(zip(got, want))
                       if pair[0] != pair[1]), min(len(got), len(want)))
@@ -503,7 +508,7 @@ def test_grid_matches_bruteforce_on_random_configs():
         radius = float(rng.uniform(0.5, 0.45 * min(w, h)))
         xs = rng.uniform(0, w, n)
         ys = rng.uniform(0, h, n)
-        got = neighbor_sets_grid(xs, ys, w, h, radius)
+        got = grid_neighbor_sets(xs, ys, w, h, radius)
         want = neighbor_sets_bruteforce(xs, ys, w, h, radius)
         for g, b in zip(got, want):
             assert np.array_equal(g, b)
@@ -513,7 +518,7 @@ def test_grid_handles_radius_larger_than_world():
     rng = np.random.default_rng(18)
     xs = rng.uniform(0, 5, 40)
     ys = rng.uniform(0, 5, 40)
-    got = neighbor_sets_grid(xs, ys, 5.0, 5.0, 30.0)
+    got = grid_neighbor_sets(xs, ys, 5.0, 5.0, 30.0)
     for i, g in enumerate(got):
         assert np.array_equal(g, np.array([j for j in range(40) if j != i]))
 
@@ -562,7 +567,7 @@ def test_grid_tiny_radius_keeps_cell_count_bounded():
     xs[1], ys[1] = xs[0] + 5e-7, ys[0]
     grid = UniformGrid(xs, ys, 50.0, 50.0, 1e-6)
     assert grid.ncx * grid.ncy <= 7 * 7
-    got = neighbor_sets_grid(xs, ys, 50.0, 50.0, 1e-6)
+    got = grid_neighbor_sets(xs, ys, 50.0, 50.0, 1e-6)
     want = neighbor_sets_bruteforce(xs, ys, 50.0, 50.0, 1e-6)
     assert all(np.array_equal(g, b) for g, b in zip(got, want))
     assert list(got[0]) == [1]
@@ -579,10 +584,10 @@ def test_grid_query_excludes_self_but_not_coincident():
 # Event log serialization
 # ---------------------------------------------------------------------------
 
-def test_event_log_fast_writer_matches_emit_line():
+def test_event_log_fast_writer_matches_emit_line(tmp_path):
     out = run(small_config(horizon_ticks=60,
                            sharing_model=SharingModel(-2.0, 0.4, 0.4, 0.2)))
-    buf = io.StringIO()
-    out.events.write_lines(buf)
-    expected = "".join(logio.emit_line(r) for r in out.event_records())
-    assert buf.getvalue() == expected
+    path = tmp_path / "events.log"
+    out.write_event_log(path)
+    expected = "".join(emit_line(r) for r in out.event_records())
+    assert path.read_bytes() == expected.encode("ascii")

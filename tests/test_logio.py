@@ -1,19 +1,18 @@
 """Log line codec and streaming aggregation."""
 
+import io
 import random
 
 import pytest
 
+from _helpers import emit_line, write_records
 from memesim.core import EventKind, EventRecord, InputError
 from memesim.logio import (
     LogParseError,
     aggregate_hits,
-    emit_line,
-    merge_summaries,
     parse_line,
     parse_lines,
     read_log,
-    write_log,
 )
 
 KINDS = list(EventKind)
@@ -30,21 +29,28 @@ def random_record(rng: random.Random) -> EventRecord:
 # Codec
 # ---------------------------------------------------------------------------
 
+def written(records) -> str:
+    buf = io.StringIO()
+    write_records(buf, records)
+    return buf.getvalue()
+
+
 def test_emit_example_line():
     rec = EventRecord(tick=7, kind=EventKind.EXPOSE, agent_id=12, meme_id=3)
-    assert emit_line(rec) == '7 12 "GET /m/3" EXPOSE\n'
+    assert written([rec]) == '7 12 "GET /m/3" EXPOSE\n'
 
 
 def test_emit_recruit_uses_site_root():
     rec = EventRecord(tick=0, kind=EventKind.RECRUIT, agent_id=4, meme_id=None)
-    assert emit_line(rec) == '0 4 "GET /" RECRUIT\n'
+    assert written([rec]) == '0 4 "GET /" RECRUIT\n'
 
 
 def test_round_trip_10k_random_records():
     rng = random.Random(1234)
-    for _ in range(10_000):
-        rec = random_record(rng)
-        assert parse_line(emit_line(rec)) == rec
+    records = [random_record(rng) for _ in range(10_000)]
+    text = written(records)
+    assert text == "".join(emit_line(rec) for rec in records)
+    assert [parse_line(line) for line in text.splitlines()] == records
 
 
 def test_parse_accepts_line_without_newline():
@@ -64,6 +70,9 @@ def test_parse_accepts_line_without_newline():
     ('7  12 "GET /m/3" EXPOSE', None),         # double space
     ('7 12 "GET /m/3" EXPOSE extra', None),    # trailing junk
     ('', None),
+    ('\u00b2 12 "GET /m/3" EXPOSE', None),     # superscript two: isdigit, not int
+    ('\u0663 12 "GET /m/3" EXPOSE', None),     # Arabic-Indic three: int() gives 3
+    ('\udcff 12 "GET /m/3" EXPOSE', None),     # byte 0xff read with surrogateescape
 ])
 def test_parse_rejects_malformed(line, token):
     with pytest.raises(LogParseError) as err:
@@ -94,10 +103,19 @@ def test_file_round_trip(tmp_path):
     rng = random.Random(99)
     records = [random_record(rng) for _ in range(500)]
     path = tmp_path / "events.log"
-    write_log(records, path)
+    with open(path, "w", newline="") as fh:
+        write_records(fh, records)
     assert list(read_log(path)) == records
     raw = path.read_bytes()
     assert raw.endswith(b"\n") and b"\r" not in raw
+
+
+def test_read_log_reports_undecodable_byte(tmp_path):
+    path = tmp_path / "events.log"
+    path.write_bytes(b'0 1 "GET /" RECRUIT\n\xff 1 "GET /m/0" EXPOSE\n')
+    with pytest.raises(LogParseError) as err:
+        list(read_log(path))
+    assert err.value.lineno == 2
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +188,6 @@ def test_counted_kinds_override():
     s = aggregate_hits(records, counted_kinds={EventKind.SHARE})
     assert s.per_meme == {0: 1}
     assert s.total_hits == 1
-
-
-def test_merge_equals_single_pass():
-    rng = random.Random(7)
-    records = []
-    for tick in range(2_000):
-        for _ in range(rng.randrange(0, 4)):
-            kind = rng.choice((EventKind.CREATE, EventKind.EXPOSE, EventKind.SHARE))
-            records.append(EventRecord(tick, kind, rng.randrange(50),
-                                       rng.randrange(40)))
-    split = len(records) // 3
-    whole = aggregate_hits(records, bin_width_ticks=7)
-    merged = merge_summaries(aggregate_hits(records[:split], bin_width_ticks=7),
-                             aggregate_hits(records[split:], bin_width_ticks=7))
-    assert merged == whole
 
 
 def test_totals_match_bruteforce_recount_on_million_line_log():
