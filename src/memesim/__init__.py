@@ -12,7 +12,13 @@ from .core import (
 )
 from .decision import DEFAULT_SHARING_MODEL, SharingModel
 from .engine import SimConfig, SimOutput, WorldState, init_world, run
-from .logio import HitSummary, LogParseError, aggregate_hits, parse_line
+from .logio import (
+    HitSummary,
+    LogParseError,
+    aggregate_hits,
+    parse_line,
+    read_columns,
+)
 from .stats import (
     DesignMatrix,
     FitResult,

@@ -117,7 +117,7 @@ def _parse_sweep(value, config: SimConfig) -> SweepSpec:
             raise ConfigurationError(f"sweep axis {name!r} needs a non-empty list",
                                      fields=(f"sweep.axes.{name}",))
     replicates = value.get("replicates", 1)
-    if not isinstance(replicates, int) or replicates < 1:
+    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
         raise ConfigurationError("sweep.replicates must be a positive integer",
                                  fields=("sweep.replicates",))
     # Every sweep point must itself be a valid config.
@@ -253,7 +253,7 @@ def cmd_fit(data_path, model: str, out_path) -> int:
 
 
 def cmd_analyze(log_path, bin_width, out_dir, sim_timeseries=None) -> int:
-    summary = logio.aggregate_hits(logio.read_log(log_path),
+    summary = logio.aggregate_hits(logio.read_columns(log_path),
                                    bin_width_ticks=bin_width)
     out = _resolve_out_dir(out_dir, None)
     logio.write_summary_json(summary, out / "summary.json")

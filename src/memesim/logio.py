@@ -4,24 +4,46 @@ Wire format, one event per line, LF-terminated:
 
     <tick> <agent_id> "GET /m/<meme_id>" <event_kind>
 
-`tick`, `agent_id` and `meme_id` are unsigned ASCII decimal integers and
-`event_kind` is one of RECRUIT, CREATE, SHARE, EXPOSE, INFECT, RECOVER.
-RECRUIT events carry no meme, so their request path is the bare site
-root: `"GET /"`.  write_lines is the one serializer of the grammar and
-parse_line its inverse: parsing a written line gives back its record.
+`tick`, `agent_id` and `meme_id` are unsigned ASCII decimal integers that
+fit in a signed 64-bit integer, and `event_kind` is one of RECRUIT, CREATE,
+SHARE, EXPOSE, INFECT, RECOVER.  RECRUIT events carry no meme, so their
+request path is the bare site root: `"GET /"`.  write_lines is the one
+serializer of the grammar and parse_line its definition, one line at a
+time; read_columns reads whole files in blocks and is the inverse of
+write_lines.  Blank lines are skipped; `\n`, `\r\n` and `\r` all end a
+line when lines are numbered.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import statistics
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import EventKind, EventRecord, InputError
 
 _KIND_BY_NAME = {kind.value: kind for kind in EventKind}
+_KINDS = tuple(EventKind)
+_INT64_MAX = 2**63 - 1
 
 DEFAULT_COUNTED_KINDS = frozenset({EventKind.EXPOSE})
+
+# read_columns reads this many bytes at a time, so its memory is bounded by
+# one block (plus the longest line) whatever the size of the log.
+_BLOCK_BYTES = 1 << 20
+
+# A grammar-valid line, as a whole line of a block.  It cannot span lines
+# and contains no \r, so a \r-ended line never matches.
+_LINE = re.compile(
+    rb'^\d+ \d+ "GET /(?:m/\d+)?" (?:'
+    + b"|".join(kind.value.encode() for kind in EventKind) + rb")$",
+    re.ASCII | re.MULTILINE)
+# A line of ASCII whitespace (the empty line after a final \n included),
+# which every reader skips as blank.
+_BLANK = re.compile(rb"^[ \t\x0b\x0c\r]*$", re.ASCII | re.MULTILINE)
 
 
 class LogParseError(ValueError):
@@ -81,7 +103,7 @@ def parse_line(line: str, lineno: int | None = None) -> EventRecord:
     if kind is None:
         raise LogParseError(f"unknown event kind {kind_s!r}", lineno, token=kind_s)
 
-    meme_id = None
+    meme_s = ""
     if request == "GET /":
         if kind is not EventKind.RECRUIT:
             raise LogParseError(f"bare-root request is only valid for RECRUIT,"
@@ -94,30 +116,95 @@ def parse_line(line: str, lineno: int | None = None) -> EventRecord:
         if kind is EventKind.RECRUIT:
             raise LogParseError("RECRUIT records carry no meme path", lineno,
                                 token=request)
-        meme_id = int(meme_s)
     else:
         raise LogParseError(f"malformed request {request!r}", lineno, token=request)
+    # Checked last, so a line that breaks the grammar elsewhere reports that.
+    for name, digits in (("tick", tick_s), ("agent_id", agent_s), ("meme_id", meme_s)):
+        if digits and int(digits) > _INT64_MAX:
+            raise LogParseError(f"{name} must be at most {_INT64_MAX}, got {digits!r}",
+                                lineno, token=digits)
     return EventRecord(tick=int(tick_s), kind=kind, agent_id=int(agent_s),
-                       meme_id=meme_id)
+                       meme_id=int(meme_s) if meme_s else None)
 
 
-def parse_lines(lines):
-    """Yield records from an iterable of lines; errors carry 1-based numbers."""
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip() == "":
-            continue
-        yield parse_line(line, lineno=lineno)
+def read_columns(path):
+    """Yield the log at `path` as blocks of int64 columns
+    (ticks, kinds, agents, memes), the inverse of write_lines: kinds are
+    indices into EventKind and memes are -1 for RECRUIT.
 
-
-def read_log(path):
-    """Stream records from a log file.
-
-    Undecodable bytes become lone surrogates, so they fail parse_line's
-    ASCII check with a line number instead of a UnicodeDecodeError.
+    The file is read _BLOCK_BYTES at a time and cut after its last line end.
+    A LogParseError names the first bad line with its line number in the
+    whole file, exactly as parse_line reports it.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape",
-              newline="") as fh:
-        yield from parse_lines(fh)
+    lineno = 0
+    with open(path, "rb") as fh:
+        pending = b""
+        while chunk := fh.read(_BLOCK_BYTES):
+            pending += chunk
+            # A final \r may be the first half of a \r\n, so it waits.
+            cut = 1 + max(pending.rfind(b"\n"),
+                          pending.rfind(b"\r", 0, len(pending) - 1))
+            if cut:
+                block, pending = pending[:cut], pending[cut:]
+                yield _parse_block(block, lineno)
+                lineno += _count_lines(block)
+        if pending:
+            yield _parse_block(pending, lineno)
+
+
+def _count_lines(block: bytes) -> int:
+    if b"\r" in block:
+        return len(block.splitlines())
+    return block.count(b"\n") + (not block.endswith(b"\n"))
+
+
+def _parse_block(block: bytes, lines_before: int):
+    """Columns of the lines in `block`, which follows `lines_before` lines."""
+    # Every piece between two \n must be a grammar-valid line or blank; the
+    # piece after a final \n is empty, and only _BLANK counts it.
+    pieces = block.count(b"\n") + 1
+    valid = len(_LINE.findall(block))
+    if (valid + block.endswith(b"\n") == pieces
+            or valid + len(_BLANK.findall(block)) == pieces):
+        columns = _columns_of_valid_lines(block, valid)
+        if columns is not None:
+            return columns
+    return _parse_block_by_line(block, lines_before)
+
+
+def _columns_of_valid_lines(block: bytes, valid: int):
+    """Columns of a block of `valid` grammar-valid lines and blank lines, or
+    None when a number is out of range or RECRUIT and bare root do not pair."""
+    text = (block.replace(b' "GET /m/', b" ")
+            .replace(b' "GET /"', b" -1")
+            .replace(b'" ', b" "))
+    for code, kind in enumerate(EventKind):
+        text = text.replace(kind.value.encode(), b"%d" % code)
+    # fromstring saturates a number above the int64 range at the maximum,
+    # and reads a text of whitespace alone as one 0.
+    values = (np.fromstring(text, dtype=np.int64, sep=" ") if valid
+              else np.empty(0, dtype=np.int64)).reshape(valid, 4)
+    ticks, agents, memes, kinds = values.T
+    recruit = kinds == _KINDS.index(EventKind.RECRUIT)
+    if np.any((memes < 0) != recruit) or np.any(values == _INT64_MAX):
+        return None
+    return ticks, kinds, agents, memes
+
+
+def _parse_block_by_line(block: bytes, lines_before: int):
+    """The same columns by parse_line, one line at a time: raises at the
+    first bad line, and skips blank lines of any Unicode whitespace."""
+    rows = []
+    for lineno, line in enumerate(block.splitlines(keepends=True),
+                                  start=lines_before + 1):
+        text = line.decode("utf-8", errors="surrogateescape")
+        if text.strip() == "":
+            continue
+        record = parse_line(text, lineno)
+        rows.append((record.tick, _KINDS.index(record.kind), record.agent_id,
+                     -1 if record.meme_id is None else record.meme_id))
+    ticks, kinds, agents, memes = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return ticks, kinds, agents, memes
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +256,45 @@ def summary_from_counts(per_meme: dict, bins: dict, bin_width_ticks: int,
     )
 
 
-def aggregate_hits(records, counted_kinds=None, bin_width_ticks: int = 1) -> HitSummary:
-    """Single streaming pass over records; memory scales with memes + bins.
+def aggregate_hits(blocks, counted_kinds=None, bin_width_ticks: int = 1) -> HitSummary:
+    """One pass over column blocks as read_columns yields them.
 
     Per-meme counts cover `counted_kinds` (default: EXPOSE only).  The meme
     universe for the median and fraction statistics is every meme that shows
     up in a CREATE or EXPOSE record, so created-but-never-viewed memes count
     as zero-hit memes; memes seen only via other counted kinds are included
-    too, to keep the table consistent with total_hits.
+    too, to keep the table consistent with total_hits.  Memory is one block
+    plus the distinct memes and bins, whatever the largest id or tick.
     """
     if bin_width_ticks < 1:
         raise InputError(f"bin width must be >= 1, got {bin_width_ticks}")
     counted = (DEFAULT_COUNTED_KINDS if counted_kinds is None
                else frozenset(counted_kinds))
-    per_meme = {}
-    bins = {}
-    for record in records:
-        meme_id = record.meme_id
-        if meme_id is None:
-            continue
-        if record.kind is EventKind.CREATE or record.kind is EventKind.EXPOSE:
-            per_meme.setdefault(meme_id, 0)
-        if record.kind in counted:
-            per_meme[meme_id] = per_meme.get(meme_id, 0) + 1
-            bin_start = (record.tick // bin_width_ticks) * bin_width_ticks
-            bins[bin_start] = bins.get(bin_start, 0) + 1
-    return summary_from_counts(per_meme, bins, bin_width_ticks, counted)
+    counted_codes = [_KINDS.index(kind) for kind in counted]
+    universe_codes = [_KINDS.index(EventKind.CREATE), _KINDS.index(EventKind.EXPOSE)]
+    empty = np.empty(0, dtype=np.int64)
+    per_meme, bins = (empty, empty), (empty, empty)
+    for ticks, kinds, _, memes in blocks:
+        hit = np.isin(kinds, counted_codes) & (memes >= 0)
+        seen = hit | np.isin(kinds, universe_codes)
+        per_meme = _add_counts(per_meme, memes[seen], hit[seen])
+        if bin_width_ticks > _INT64_MAX:      # one bin from 0 holds every tick
+            starts = np.zeros(np.count_nonzero(hit), dtype=np.int64)
+        else:
+            starts = ticks[hit] // bin_width_ticks * bin_width_ticks
+        bins = _add_counts(bins, starts, np.ones(len(starts), dtype=np.int64))
+    return summary_from_counts(dict(zip(per_meme[0].tolist(), per_meme[1].tolist())),
+                               dict(zip(bins[0].tolist(), bins[1].tolist())),
+                               bin_width_ticks, counted)
+
+
+def _add_counts(table, keys, counts):
+    """The table of (sorted distinct keys, int64 counts) with `counts` added
+    at `keys`."""
+    merged, inverse = np.unique(np.concatenate([table[0], keys]), return_inverse=True)
+    totals = np.zeros(len(merged), dtype=np.int64)
+    np.add.at(totals, inverse, np.concatenate([table[1], counts]))
+    return merged, totals
 
 
 # ---------------------------------------------------------------------------

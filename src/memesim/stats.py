@@ -10,8 +10,10 @@ R-squared of an OLS fit to the 0/1 response.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,27 +239,67 @@ def logistic_fit(data: DesignMatrix, ridge: float = 1e-6,
 # ---------------------------------------------------------------------------
 
 def load_design_csv(path) -> DesignMatrix:
-    """Read an observation table: header row, features first, response last."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise InputError(f"{path}: need at least one feature column plus a response")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path}:{lineno}: expected {len(header)} fields,"
-                                 f" got {len(row)}")
+    """Read an observation table: header row, features first, response last.
+
+    Cells are decimal or exponent numbers, `nan` or `inf`, in ASCII,
+    optionally double-quoted and surrounded by whitespace.  Blank lines are
+    skipped and `#` is not a comment.  A bad row, including a cell with a
+    byte that is not UTF-8, is an InputError naming `path:lineno`.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = _text(raw)
+    try:
+        header = next(csv.reader(text))
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    if len(header) < 2:
+        raise InputError(f"{path}: need at least one feature column plus a response")
+    table = None
+    # loadtxt strips \x1c-\x1f around a number, which float() rejects.
+    if not any(ch in raw for ch in b"\x1c\x1d\x1e\x1f"):
+        with warnings.catch_warnings():
+            # loadtxt warns when it finds blank rows only.
+            warnings.simplefilter("ignore", UserWarning)
             try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+                table = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
+                                   ndmin=2)
+            except ValueError:
+                pass
+    if table is None or table.shape[1] != len(header):
+        table = _read_rows(path, raw, len(header))
+    return DesignMatrix(features=table[:, :-1], response=table[:, -1])
+
+
+def _text(raw: bytes):
+    """`raw` as a text file; undecodable bytes become lone surrogates."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                            errors="surrogateescape", newline="")
+
+
+def _read_rows(path, raw: bytes, width: int) -> np.ndarray:
+    """The rows under the header read one cell at a time, or the
+    InputError of the first bad row."""
+    reader = csv.reader(_text(raw))
+    next(reader)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            rows.append([_cell_value(v) for v in row])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=np.float64)
-    return DesignMatrix(features=table[:, :-1], response=table[:, -1])
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _cell_value(cell: str) -> float:
+    """float(cell) in the syntax loadtxt reads: no `_` and no non-ASCII digits."""
+    number = cell.strip()
+    if "_" in number or not number.isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)

@@ -1,16 +1,18 @@
-"""Shared verification helpers: scalar oracles, the SIS transition checker
-and a scalar reference engine.
+"""Shared verification helpers: scalar oracles, the per-line log reader,
+the csv table reader, the SIS transition checker and a scalar reference
+engine.
 
 The oracles are the one-value-at-a-time forms of what the package computes
 in batches.  Tests compare the package against them; nothing in the
 package calls them.
 """
 
+import csv
 import math
 
 import numpy as np
 
-from memesim import logio
+from memesim import logio, stats
 from memesim.core import (
     EventKind,
     EventRecord,
@@ -120,6 +122,88 @@ def write_records(fh, records):
                       [_KIND_CODE[r.kind] for r in records],
                       [r.agent_id for r in records],
                       [-1 if r.meme_id is None else r.meme_id for r in records])
+
+
+def columns_of(records):
+    """One block of int64 columns (ticks, kinds, agents, memes), as
+    logio.read_columns yields them, holding `records`."""
+    return (np.array([r.tick for r in records], dtype=np.int64),
+            np.array([_KIND_CODE[r.kind] for r in records], dtype=np.int64),
+            np.array([r.agent_id for r in records], dtype=np.int64),
+            np.array([-1 if r.meme_id is None else r.meme_id for r in records],
+                     dtype=np.int64))
+
+
+def records_of(blocks):
+    """The records held by column blocks."""
+    kinds = list(EventKind)
+    return [EventRecord(int(t), kinds[k], int(a), None if m < 0 else int(m))
+            for block in blocks for t, k, a, m in zip(*block)]
+
+
+def parse_lines(lines):
+    """Yield records from an iterable of lines; errors carry 1-based numbers."""
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() == "":
+            continue
+        yield logio.parse_line(line, lineno=lineno)
+
+
+def read_log(path):
+    """Stream records from a log file, one text line at a time.
+
+    Undecodable bytes become lone surrogates, so they fail parse_line's
+    ASCII check with a line number instead of a UnicodeDecodeError.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
+        yield from parse_lines(fh)
+
+
+def aggregate_records(records, counted_kinds=None, bin_width_ticks=1):
+    """HitSummary of records by dicts, one record at a time."""
+    counted = (logio.DEFAULT_COUNTED_KINDS if counted_kinds is None
+               else frozenset(counted_kinds))
+    per_meme = {}
+    bins = {}
+    for record in records:
+        meme_id = record.meme_id
+        if meme_id is None:
+            continue
+        if record.kind is EventKind.CREATE or record.kind is EventKind.EXPOSE:
+            per_meme.setdefault(meme_id, 0)
+        if record.kind in counted:
+            per_meme[meme_id] = per_meme.get(meme_id, 0) + 1
+            bin_start = (record.tick // bin_width_ticks) * bin_width_ticks
+            bins[bin_start] = bins.get(bin_start, 0) + 1
+    return logio.summary_from_counts(per_meme, bins, bin_width_ticks, counted)
+
+
+def load_design_csv(path):
+    """An observation table read by csv and float(), one row at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        if len(header) < 2:
+            raise InputError(f"{path}: need at least one feature column plus a response")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} fields,"
+                                 f" got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    table = np.asarray(rows, dtype=np.float64)
+    return stats.DesignMatrix(features=table[:, :-1], response=table[:, -1])
 
 
 def check_event_log(records, horizon=None):

@@ -19,6 +19,7 @@ from _helpers import (
     check_event_log,
     grid_neighbor_sets,
     neighbor_sets_bruteforce,
+    records_of,
     write_records,
 )
 from memesim import logio
@@ -64,7 +65,7 @@ def test_full_scale_run_completes(tmp_path):
     artifacts = ["events.log", "timeseries.csv", "hits.csv",
                  "summary.json", "timeseries.svg"]
     present = all((tmp_path / a).exists() for a in artifacts)
-    parses = bool(list(logio.read_log(tmp_path / "events.log")))
+    parses = bool(records_of(logio.read_columns(tmp_path / "events.log")))
     json.loads((tmp_path / "summary.json").read_text())
     criterion("full-scale run < 60 s with all artifacts",
               code == 0 and elapsed < 60.0 and present and parses,
@@ -205,7 +206,7 @@ def test_pipeline_closure(tmp_path):
     out = run(cfg)
     log_path = tmp_path / "events.log"
     out.write_event_log(log_path)
-    summary = logio.aggregate_hits(logio.read_log(log_path))
+    summary = logio.aggregate_hits(logio.read_columns(log_path))
     criterion("simulate -> analyze per-meme closure",
               summary.per_meme == out.per_meme_hits,
               f"({len(out.per_meme_hits)} memes, {len(out.events)} events)")
@@ -244,7 +245,7 @@ def test_supercritical_full_scale_run(tmp_path):
     config.write_text(json.dumps(doc))
     sim, analysis = tmp_path / "sim", tmp_path / "analysis"
     assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
-    records = list(logio.read_log(sim / "events.log"))
+    records = records_of(logio.read_columns(sim / "events.log"))
     counts = check_event_log(records, horizon=horizon)
 
     infected = np.zeros(horizon, dtype=np.int64)

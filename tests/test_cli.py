@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import memesim
+from _helpers import records_of
 from memesim import logio
 from memesim.cli import main
 from memesim.engine import SimConfig, run
@@ -52,7 +53,7 @@ def test_simulate_writes_all_artifacts(tmp_path):
                  "summary.json", "timeseries.svg"):
         assert (out / name).exists(), name
 
-    records = list(logio.read_log(out / "events.log"))
+    records = records_of(logio.read_columns(out / "events.log"))
     assert records, "event log parses and is non-empty"
     lines = (out / "timeseries.csv").read_text().splitlines()
     assert lines[0] == "tick,currently_infected,cumulative_exposures"
@@ -211,6 +212,16 @@ def test_sweep_rejects_non_numeric_model_axis_value(tmp_path, capsys, value):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("replicates", [True, 1.5])
+def test_sweep_rejects_non_integer_replicates(tmp_path, capsys, replicates):
+    cfg = write_config(tmp_path, _sweep_doc({"step_size": [1.0]}, replicates))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:") and "sweep.replicates" in err
+    assert not (out / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -232,6 +243,17 @@ def test_fit_logistic_single_class_exits_4(tmp_path, capsys):
                  "--model", "logistic", "--out", str(out)])
     assert code == 4
     assert capsys.readouterr().err.startswith("degenerate-response")
+    assert not out.exists()
+
+
+def test_fit_undecodable_byte_exits_4(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"x,y\n0,1\n1,\xff\n2,5\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(data), "--model", "ols",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input-error:") and f"{data}:3:" in err
     assert not out.exists()
 
 
@@ -347,7 +369,7 @@ def test_pipeline_closure_simulate_then_analyze(tmp_path):
     cfg = SimConfig(**{k: v for k, v in SMALL.items() if k != "sharing_model"},
                     sharing_model=SharingModel(**SMALL["sharing_model"]))
     in_memory = run(cfg).per_meme_hits
-    analyzed = logio.aggregate_hits(logio.read_log(sim_out / "events.log"))
+    analyzed = logio.aggregate_hits(logio.read_columns(sim_out / "events.log"))
     assert analyzed.per_meme == in_memory
     assert ((an_out / "summary.json").read_bytes()
             == (sim_out / "summary.json").read_bytes())

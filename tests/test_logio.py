@@ -1,18 +1,29 @@
-"""Log line codec and streaming aggregation."""
+"""Log line codec, the block reader and column aggregation."""
 
 import io
 import random
+import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import emit_line, write_records
+from _helpers import (
+    aggregate_records,
+    columns_of,
+    emit_line,
+    read_log,
+    records_of,
+    write_records,
+)
+from memesim import logio
 from memesim.core import EventKind, EventRecord, InputError
 from memesim.logio import (
     LogParseError,
     aggregate_hits,
     parse_line,
-    parse_lines,
-    read_log,
+    read_columns,
 )
 
 KINDS = list(EventKind)
@@ -83,10 +94,11 @@ def test_parse_rejects_malformed(line, token):
         assert err.value.token == token
 
 
-def test_parse_lines_reports_line_numbers():
-    lines = ['0 1 "GET /" RECRUIT\n', "garbage\n"]
+def test_parse_lines_reports_line_numbers(tmp_path):
+    path = tmp_path / "events.log"
+    path.write_text('0 1 "GET /" RECRUIT\ngarbage\n')
     with pytest.raises(LogParseError) as err:
-        list(parse_lines(lines))
+        list(read_columns(path))
     assert err.value.lineno == 2
 
 
@@ -105,7 +117,7 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "events.log"
     with open(path, "w", newline="") as fh:
         write_records(fh, records)
-    assert list(read_log(path)) == records
+    assert records_of(read_columns(path)) == records
     raw = path.read_bytes()
     assert raw.endswith(b"\n") and b"\r" not in raw
 
@@ -114,7 +126,7 @@ def test_read_log_reports_undecodable_byte(tmp_path):
     path = tmp_path / "events.log"
     path.write_bytes(b'0 1 "GET /" RECRUIT\n\xff 1 "GET /m/0" EXPOSE\n')
     with pytest.raises(LogParseError) as err:
-        list(read_log(path))
+        list(read_columns(path))
     assert err.value.lineno == 2
 
 
@@ -130,6 +142,10 @@ def _create(tick, meme, agent=0):
     return EventRecord(tick, EventKind.CREATE, agent, meme)
 
 
+def aggregate(records, **kwargs):
+    return aggregate_hits([columns_of(records)], **kwargs)
+
+
 def test_empty_stream():
     s = aggregate_hits([])
     assert s.total_hits == 0 and s.meme_count == 0 and s.max_hits == 0
@@ -139,7 +155,7 @@ def test_empty_stream():
 def test_median_counts_created_but_unseen_memes():
     records = [_create(0, 0), _create(0, 1), _create(0, 2)]
     records += [_expose(1, 0)] * 5 + [_expose(2, 1)]
-    s = aggregate_hits(records)
+    s = aggregate(records)
     # Hand-computed median over counts {5, 1, 0} is 1.
     assert s.per_meme == {0: 5, 1: 1, 2: 0}
     assert s.median_hits == 1.0
@@ -167,7 +183,7 @@ def test_skewed_traffic_scenario():
         for _ in range(c):
             records.append(_expose(tick % 700, m))
             tick += 1
-    s = aggregate_hits(records)
+    s = aggregate(records)
     assert s.total_hits == 2000
     assert s.max_hits == 72
     assert s.meme_count == 236
@@ -177,7 +193,7 @@ def test_skewed_traffic_scenario():
 
 def test_binning():
     records = [_expose(t, 0) for t in (0, 1, 9, 10, 25)]
-    s = aggregate_hits(records, bin_width_ticks=10)
+    s = aggregate(records, bin_width_ticks=10)
     assert s.bins == {0: 3, 10: 1, 20: 1}
     assert s.bin_width_ticks == 10
 
@@ -185,7 +201,7 @@ def test_binning():
 def test_counted_kinds_override():
     records = [_create(0, 0), _expose(1, 0),
                EventRecord(1, EventKind.SHARE, 9, 0)]
-    s = aggregate_hits(records, counted_kinds={EventKind.SHARE})
+    s = aggregate(records, counted_kinds={EventKind.SHARE})
     assert s.per_meme == {0: 1}
     assert s.total_hits == 1
 
@@ -200,8 +216,17 @@ def test_totals_match_bruteforce_recount_on_million_line_log():
             kind = EventKind.EXPOSE if rng.random() < 0.8 else EventKind.CREATE
             yield EventRecord(i % 20_000, kind, rng.randrange(5_000), meme)
 
+    def blocks(records, size=50_000):
+        block = []
+        for rec in records:
+            block.append(rec)
+            if len(block) == size:
+                yield columns_of(block)
+                block = []
+        yield columns_of(block)
+
     n = 1_000_000
-    s = aggregate_hits(stream(31, n))
+    s = aggregate_hits(blocks(stream(31, n)))
     expected = {}
     for rec in stream(31, n):
         if rec.kind is EventKind.EXPOSE:
@@ -216,3 +241,155 @@ def test_totals_match_bruteforce_recount_on_million_line_log():
 def test_invalid_bin_width():
     with pytest.raises(InputError):
         aggregate_hits([], bin_width_ticks=0)
+
+
+# ---------------------------------------------------------------------------
+# Block reader against the per-line oracle
+# ---------------------------------------------------------------------------
+
+INT64_MAX = 2**63 - 1
+
+
+def _outcome(read):
+    """What a reader makes of a log: its records and summaries, or its error."""
+    try:
+        return "ok", read()
+    except LogParseError as exc:
+        return "error", (exc.lineno, exc.token, str(exc))
+
+
+# Mutations of a valid log, given as its lines (bytes, each LF-ended), a
+# line index and a hypothesis draw.
+BLANK_LINES = [b"\n", b"\r\n", b"\r", b"   \n", b"\t\x0b\x0c\n", b"  \r  \n",
+               b"\x1c\n", "\u00a0\n".encode(), "\u3000\r\n".encode(), b"\r\r\n"]
+MUTATIONS = {
+    "crlf": lambda lines, i, draw: _set(lines, i, lines[i][:-1] + b"\r\n"),
+    "cr": lambda lines, i, draw: _set(lines, i, lines[i][:-1] + b"\r"),
+    "all-crlf": lambda lines, i, draw: [ln[:-1] + b"\r\n" for ln in lines],
+    "blank": lambda lines, i, draw: _insert(
+        lines, i, [draw(st.sampled_from(BLANK_LINES))]),
+    "no-final-newline": lambda lines, i, draw: lines[:-1] + [lines[-1].rstrip(b"\n")],
+    "non-ascii": lambda lines, i, draw: _set(lines, i, draw(st.sampled_from(
+        ["\u0663", "\u00b2", "\u00e9"])).encode() + lines[i]),
+    "undecodable": lambda lines, i, draw: _set(lines, i, _insert(
+        lines[i], draw(st.integers(0, len(lines[i]))), b"\xff")),
+    "leading-zeros": lambda lines, i, draw: _set(lines, i, _pad_numbers(
+        lines[i], draw(st.integers(1, 30)))),
+    "big-number": lambda lines, i, draw: _set(lines, i, _swap_number(
+        lines[i], draw(st.sampled_from([INT64_MAX, INT64_MAX + 1, 10**19, 10**30])),
+        draw(st.integers(0, 2)))),
+    "recruit-with-meme": lambda lines, i, draw: _set(
+        lines, i, lines[i].replace(b'"GET /"', b'"GET /m/5"')
+        if b'"GET /"' in lines[i] else lines[i].rsplit(b" ", 1)[0] + b" RECRUIT\n"),
+    "bare-root": lambda lines, i, draw: _set(
+        lines, i, lines[i].split(b'"')[0] + b'"GET /" EXPOSE\n'),
+    "byte": lambda lines, i, draw: _set(lines, i, _insert(
+        lines[i], draw(st.integers(0, len(lines[i]))),
+        draw(st.sampled_from([b" ", b'"', b"/", b"m", b"x", b"7", b"\t", b"\r",
+                              b"\n", b"\x00", b"-"])))),
+}
+
+
+def _set(lines, i, line):
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+def _insert(seq, at, piece):
+    return seq[:at] + piece + seq[at:]
+
+
+def _pad_numbers(line, zeros):
+    return re.sub(rb"\b(?=\d)", b"0" * zeros, line)
+
+
+def _swap_number(line, value, which):
+    runs = list(re.finditer(rb"\d+", line))
+    if not runs:
+        return line
+    run = runs[which % len(runs)]
+    return line[:run.start()] + b"%d" % value + line[run.end():]
+
+
+record_strategy = st.builds(
+    lambda kind, tick, agent, meme: EventRecord(
+        tick, kind, agent, None if kind is EventKind.RECRUIT else meme),
+    st.sampled_from(KINDS), st.integers(0, 10**6), st.integers(0, 10**4),
+    st.integers(0, 40))
+
+
+@settings(max_examples=500, deadline=None)
+@given(records=st.lists(record_strategy, min_size=1, max_size=30),
+       mutations=st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3),
+       block_bytes=st.sampled_from([1, 2, 7, 40, 200, logio._BLOCK_BYTES]),
+       counted=st.sampled_from([None, {EventKind.SHARE, EventKind.RECRUIT},
+                                set(KINDS)]),
+       bin_width=st.one_of(st.integers(1, 10**6), st.just(2**64)),
+       data=st.data())
+def test_block_reader_matches_line_oracle(tmp_path_factory, records, mutations,
+                                          block_bytes, counted, bin_width, data):
+    lines = [emit_line(rec).encode() for rec in records]
+    for mutation in mutations:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines = MUTATIONS[mutation](lines, i, data.draw)
+    path = tmp_path_factory.mktemp("log") / "events.log"
+    path.write_bytes(b"".join(lines))
+
+    def oracle():
+        recs = list(read_log(path))
+        return recs, aggregate_records(recs, counted, bin_width)
+
+    def block_reader():
+        return (records_of(read_columns(path)),
+                aggregate_hits(read_columns(path), counted, bin_width))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logio, "_BLOCK_BYTES", block_bytes)
+        assert _outcome(block_reader) == _outcome(oracle)
+
+
+@pytest.mark.parametrize("blank", BLANK_LINES)
+@pytest.mark.parametrize("tail", [b"", b"garbage\n"])
+def test_blank_lines_match_line_oracle(tmp_path, blank, tail):
+    path = tmp_path / "events.log"
+    path.write_bytes(b'0 1 "GET /" RECRUIT\n' + blank + b'0 1 "GET /m/0" CREATE\n'
+                     + blank + tail)
+    assert (_outcome(lambda: records_of(read_columns(path)))
+            == _outcome(lambda: list(read_log(path))))
+
+
+def test_error_past_first_block_keeps_global_line_number(tmp_path):
+    # Two blank lines, several blocks of valid lines, then one bad line.
+    rng = random.Random(5)
+    records = [random_record(rng) for _ in range(100_000)]
+    good = written(records).encode()
+    assert len(good) > 2 * logio._BLOCK_BYTES
+    path = tmp_path / "events.log"
+    path.write_bytes(b"\r\n\n" + good + b'7 12 "GET /m/3" EXPOSEX\n')
+    with pytest.raises(LogParseError) as err:
+        list(read_columns(path))
+    assert err.value.lineno == 100_003
+    assert err.value.token == "EXPOSEX"
+    assert str(err.value) == "line 100003: unknown event kind 'EXPOSEX'"
+    path.write_bytes(b"\r\n\n" + good)
+    assert records_of(read_columns(path)) == records
+
+
+def test_number_past_int64_is_rejected():
+    with pytest.raises(LogParseError) as err:
+        parse_line(f'{2**63} 12 "GET /m/3" EXPOSE', lineno=4)
+    assert err.value.lineno == 4 and err.value.token == str(2**63)
+    assert parse_line(f'{INT64_MAX} 0 "GET /m/{INT64_MAX}" EXPOSE').meme_id == INT64_MAX
+
+
+def test_sparse_meme_ids_aggregate_without_dense_tables():
+    records = [_create(0, 10**12), _expose(10**15, 10**12), _expose(3, 7),
+               _create(INT64_MAX, 5 * 10**11)]
+    tracemalloc.start()
+    try:
+        s = aggregate(records, bin_width_ticks=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.per_meme == {7: 1, 5 * 10**11: 0, 10**12: 1}
+    assert s.bins == {0: 1, 10**15: 1}
+    assert peak < 1 << 20
