@@ -12,11 +12,12 @@ so that draw sequences are bit-reproducible across runs and platforms:
   ``sqrt(-2 * ln(1 - u1)) * cos(2 * pi * u2)`` (Box-Muller, cosine branch
   only; ``1 - u1`` keeps the log argument in ``(0, 1]``).
 
-Scalar draws delegate to the vectorized numpy path, so drawing one value
-at a time or in batches yields identical sequences.  All floating-point
-transcendentals are evaluated by numpy; on any platform with IEEE-754
-doubles the streams agree bit-for-bit up to libm rounding of ``log``/
-``cos``, which the determinism tests pin down for the host.
+Raw output ``i`` depends only on the base state and ``i``, so ``k`` draws
+of one value each and one draw of ``k`` values give identical sequences;
+the engine takes each tick's draws of a stream in one call.  All
+floating-point transcendentals are evaluated by numpy; on any platform
+with IEEE-754 doubles the streams agree bit-for-bit up to libm rounding
+of ``log``/``cos``, which the determinism tests pin down for the host.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ def mix64(z: int) -> int:
 def _mix64_u64(z: np.ndarray) -> np.ndarray:
     """Vectorized mix64 over a uint64 array (wrapping arithmetic)."""
     z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MULT1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MULT2)
-    return z ^ (z >> np.uint64(31))
+    z *= np.uint64(_MULT1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MULT2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def substream_seed(seed: int, salt: int) -> int:
@@ -81,8 +83,10 @@ def _substream_seeds_u64(seeds: np.ndarray, salts: np.ndarray) -> np.ndarray:
 
 def _raw_block(state: int, n: int) -> np.ndarray:
     """Raw outputs 1..n of the stream whose current base state is `state`."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    return _mix64_u64(idx * np.uint64(GAMMA) + np.uint64(state & MASK64))
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(state & MASK64)
+    return _mix64_u64(z)
 
 
 def _to_uniform(raw: np.ndarray) -> np.ndarray:
@@ -137,20 +141,8 @@ class RngStream:
     def uniforms(self, n: int) -> np.ndarray:
         return _to_uniform(self.raw(n))
 
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
     def normals(self, n: int) -> np.ndarray:
         return _to_normal(self.raw(2 * n))
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
-    def randbelow(self, n: int) -> int:
-        """Uniform index in [0, n) via floor(u * n); bias is below n * 2**-53."""
-        if n <= 0:
-            raise InputError(f"randbelow requires n >= 1, got {n}")
-        return min(int(self.uniform() * n), n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +175,25 @@ class EventRecord:
 # ---------------------------------------------------------------------------
 
 def wrap_coords(arr: np.ndarray, span: float) -> np.ndarray:
-    """Wrap coordinates into [0, span); requires span > 0."""
-    w = np.mod(arr, span)
-    # Float modulo can round up to exactly `span` for tiny negative inputs.
-    return np.where(w >= span, w - span, w)
+    """Wrap coordinates into [0, span); requires span > 0.
+
+    The result equals ``np.mod(arr, span)`` with a result of exactly `span`
+    (the rounding of a tiny negative input) mapped to 0; only the sign of a
+    zero may differ.  When every input lies in [-span, 2 * span), as after
+    a step shorter than the span, one conditional add or subtract of the
+    span gives those values: for x in [span, 2 * span) the difference
+    x - span is exact (Sterbenz), and for x in [-span, 0) ``np.mod``
+    returns fmod(x, span) + span = x + span, the same rounded sum.  Other
+    inputs, NaN included, take the ``np.mod`` path.
+    """
+    w = np.array(arr, dtype=np.float64)
+    if w.size and -span <= w.min() and w.max() < 2 * span:
+        np.add(w, span, out=w, where=w < 0.0)
+    else:
+        np.mod(w, span, out=w)
+    # Inputs in [span, 2 * span) and sums rounded up to exactly `span`.
+    np.subtract(w, span, out=w, where=w >= span)
+    return w
 
 
 def perception_noise_batch(

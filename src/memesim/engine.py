@@ -215,7 +215,9 @@ class UniformGrid:
         self.cell_w = width / self.ncx
         self.cell_h = height / self.ncy
         flat = self._cell_of(xs, ys)
-        self._order = np.argsort(flat, kind="stable")
+        # The narrowest key type: numpy radix-sorts keys of 16 bits or fewer.
+        self._order = np.argsort(flat.astype(np.min_scalar_type(self.ncx * self.ncy - 1)),
+                                 kind="stable")
         self._starts = np.searchsorted(flat[self._order],
                                        np.arange(self.ncx * self.ncy + 1))
         # Offsets of the distinct cells around a cell: with fewer than three
@@ -364,40 +366,51 @@ def recruit_step(world: WorldState) -> WorldState:
     No-op off cadence or once the quota is reached.
     """
     cfg = world.config
-    if world.tick % cfg.recruit_interval_ticks != 0:
+    k = min(cfg.recruit_batch_size, cfg.recruits - world.recruited_count)
+    if world.tick % cfg.recruit_interval_ticks != 0 or k <= 0:
         return world
-    kinds, agents, memes = [], [], []
-    seeded = []
-    for _ in range(cfg.recruit_batch_size):
-        if world.recruited_count >= cfg.recruits:
-            break
-        pool = np.flatnonzero(~world.recruited)
-        agent = int(pool[world.placement.randbelow(len(pool))])
-        world.recruited[agent] = True
-        world.recruited_count += 1
-        kinds.append(_KIND_CODE[EventKind.RECRUIT])
-        agents.append(agent)
-        memes.append(-1)
-        for _ in range(cfg.memes_per_recruit):
-            mid = world.meme_count
-            world.meme_latents[mid] = world.meme_content.normals(cfg.meme_dim)
-            world.meme_count += 1
-            kinds += [_KIND_CODE[EventKind.CREATE], _KIND_CODE[EventKind.INFECT]]
-            agents += [agent, agent]
-            memes += [mid, mid]
-            seeded.append(agent * cfg.max_memes + mid)
-    if seeded:
-        world.events.extend(world.tick, kinds, agents, memes)
-        world._infect(np.sort(np.array(seeded, dtype=np.int64)))
+    # Recruit i takes index floor(u_i * size) of the ascending pool that
+    # recruits 0..i-1 left, one placement uniform per recruit.
+    pool = np.flatnonzero(~world.recruited)
+    sizes = len(pool) - np.arange(k)
+    picks = np.minimum((world.placement.uniforms(k) * sizes).astype(np.int64),
+                       sizes - 1)
+    recruits = np.empty(k, dtype=np.int64)
+    for i, j in enumerate(picks.tolist()):
+        recruits[i] = pool[j]
+        pool[j:-1] = pool[j + 1:]
+    world.recruited[recruits] = True
+    world.recruited_count += k
+
+    first, n_memes = world.meme_count, k * cfg.memes_per_recruit
+    mids = np.arange(first, first + n_memes).reshape(k, cfg.memes_per_recruit)
+    world.meme_latents[first:first + n_memes] = world.meme_content.normals(
+        n_memes * cfg.meme_dim).reshape(n_memes, cfg.meme_dim)
+    world.meme_count += n_memes
+    # Per recruit: RECRUIT, then CREATE and INFECT for each of its memes.
+    kinds = np.tile([_KIND_CODE[EventKind.RECRUIT]]
+                    + [_KIND_CODE[EventKind.CREATE], _KIND_CODE[EventKind.INFECT]]
+                    * cfg.memes_per_recruit, k)
+    memes = np.column_stack([np.full(k, -1), np.repeat(mids, 2, axis=1)])
+    world.events.extend(world.tick, kinds,
+                        np.repeat(recruits, memes.shape[1]), memes.ravel())
+    world._infect(np.sort((recruits[:, None] * cfg.max_memes + mids).ravel()))
     return world
 
 
 def walk_step(world: WorldState) -> WorldState:
     """Move every agent one fixed-length step in a uniformly random direction."""
     cfg = world.config
-    theta = (2.0 * np.pi) * world.walk.uniforms(cfg.population)
-    world.xs = wrap_coords(world.xs + cfg.step_size * np.cos(theta), cfg.world_width)
-    world.ys = wrap_coords(world.ys + cfg.step_size * np.sin(theta), cfg.world_height)
+    theta = world.walk.uniforms(cfg.population)
+    theta *= 2.0 * np.pi
+    dx = np.cos(theta)
+    dx *= cfg.step_size
+    dx += world.xs
+    world.xs = wrap_coords(dx, cfg.world_width)
+    dy = np.sin(theta)
+    dy *= cfg.step_size
+    dy += world.ys
+    world.ys = wrap_coords(dy, cfg.world_height)
     world._grid = None
     return world
 

@@ -125,15 +125,6 @@ def mcfadden(lnl: float, lnl0: float) -> float:
     return 1.0 - lnl / lnl0
 
 
-def logistic_log_likelihood(coefficients, features, response) -> float:
-    """Bernoulli log-likelihood of `coefficients` (intercept first)."""
-    x = np.column_stack([np.ones(len(features)), np.asarray(features, dtype=np.float64)])
-    y = np.asarray(response, dtype=np.float64)
-    z = x @ np.asarray(coefficients, dtype=np.float64)
-    # y*z - log(1 + e^z), evaluated stably for large |z|
-    return float(np.sum(y * z - np.logaddexp(0.0, z)))
-
-
 # ---------------------------------------------------------------------------
 # Fitters
 # ---------------------------------------------------------------------------
@@ -244,15 +235,19 @@ def load_design_csv(path) -> DesignMatrix:
     Cells are decimal or exponent numbers, `nan` or `inf`, in ASCII,
     optionally double-quoted and surrounded by whitespace.  Blank lines are
     skipped and `#` is not a comment.  A bad row, including a cell with a
-    byte that is not UTF-8, is an InputError naming `path:lineno`.
+    byte that is not UTF-8 or over csv's field size limit, is an InputError
+    naming `path:lineno`.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     text = _text(raw)
+    reader = csv.reader(text)
     try:
-        header = next(csv.reader(text))
+        header = next(reader)
     except StopIteration:
         raise InputError(f"{path}: empty file") from None
+    except csv.Error as exc:  # a field over csv's size limit
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     if len(header) < 2:
         raise InputError(f"{path}: need at least one feature column plus a response")
     table = None
@@ -283,15 +278,19 @@ def _read_rows(path, raw: bytes, width: int) -> np.ndarray:
     reader = csv.reader(_text(raw))
     next(reader)
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        try:
-            rows.append([_cell_value(v) for v in row])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise InputError(f"{path}:{lineno}: expected {width} fields,"
+                                 f" got {len(row)}")
+            try:
+                rows.append([_cell_value(v) for v in row])
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+    except csv.Error as exc:  # a field over csv's size limit
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)

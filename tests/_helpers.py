@@ -37,6 +37,31 @@ def wrap_scalar(v: float, span: float) -> float:
     return w
 
 
+def wrap_mod(arr, span: float) -> np.ndarray:
+    """The torus wrap by np.mod alone, the path core.wrap_coords takes for
+    inputs outside [-span, 2 * span)."""
+    w = np.mod(arr, span)
+    # Float modulo can round up to exactly `span` for tiny negative inputs.
+    return np.where(w >= span, w - span, w)
+
+
+def uniform(stream) -> float:
+    """One uniform from `stream`, drawn on its own."""
+    return float(stream.uniforms(1)[0])
+
+
+def normal(stream) -> float:
+    """One standard normal from `stream`, drawn on its own."""
+    return float(stream.normals(1)[0])
+
+
+def randbelow(stream, n: int) -> int:
+    """Uniform index in [0, n) via floor(u * n); bias is below n * 2**-53."""
+    if n <= 0:
+        raise InputError(f"randbelow requires n >= 1, got {n}")
+    return min(int(uniform(stream) * n), n - 1)
+
+
 def torus_distance(p, q, width: float, height: float) -> float:
     """Minimum Euclidean distance between points p and q over wrapped images."""
     dx = abs(p[0] - q[0])
@@ -97,6 +122,15 @@ def share_probability(model, features) -> float:
     z = (model.intercept + model.w_humor * humor + model.w_relevance * relevance
          + model.w_selfref * selfref)
     return sigmoid(z)
+
+
+def logistic_log_likelihood(coefficients, features, response) -> float:
+    """Bernoulli log-likelihood of `coefficients` (intercept first)."""
+    x = np.column_stack([np.ones(len(features)), np.asarray(features, dtype=np.float64)])
+    y = np.asarray(response, dtype=np.float64)
+    z = x @ np.asarray(coefficients, dtype=np.float64)
+    # y*z - log(1 + e^z), evaluated stably for large |z|
+    return float(np.sum(y * z - np.logaddexp(0.0, z)))
 
 
 def emit_line(record: EventRecord) -> str:
@@ -316,7 +350,7 @@ class ReferenceRun:
             if world.recruited_count >= cfg.recruits:
                 break
             pool = np.flatnonzero(~world.recruited)
-            agent = int(pool[world.placement.randbelow(len(pool))])
+            agent = int(pool[randbelow(world.placement, len(pool))])
             world.recruited[agent] = True
             world.recruited_count += 1
             self.log(EventKind.RECRUIT, agent)

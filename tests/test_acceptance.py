@@ -18,6 +18,7 @@ import pytest
 from _helpers import (
     check_event_log,
     grid_neighbor_sets,
+    logistic_log_likelihood,
     neighbor_sets_bruteforce,
     records_of,
     write_records,
@@ -27,7 +28,7 @@ from memesim.cli import main
 from memesim.core import EventKind, EventRecord
 from memesim.decision import SharingModel
 from memesim.engine import SimConfig, run
-from memesim.stats import DesignMatrix, logistic_fit, logistic_log_likelihood, ols_fit
+from memesim.stats import DesignMatrix, logistic_fit, ols_fit
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

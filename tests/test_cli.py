@@ -257,6 +257,23 @@ def test_fit_undecodable_byte_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body, lineno", [
+    (b"x,y\n0,1\n1," + b"a" * 200_000 + b"\n2,5\n", 3),
+    (b"x," + b"a" * 200_000 + b"\n0,1\n", 1),
+], ids=["cell", "header"])
+def test_fit_cell_over_csv_field_limit_exits_4(tmp_path, capsys, body, lineno):
+    # csv refuses a field over 131,072 characters with csv.Error.
+    data = tmp_path / "d.csv"
+    data.write_bytes(body)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(data), "--model", "ols",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input-error:") and f"{data}:{lineno}:" in err
+    assert "field larger than field limit" in err
+    assert not out.exists()
+
+
 def test_fit_json_keys(tmp_path):
     # Build a quick logistic table from a simulation-independent generator.
     import numpy as np

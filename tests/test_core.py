@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import keyed_normals, perceive_features, torus_distance, wrap_scalar
+from _helpers import (
+    keyed_normals,
+    normal,
+    perceive_features,
+    torus_distance,
+    uniform,
+    wrap_mod,
+    wrap_scalar,
+)
 from memesim.core import (
     RngStream,
     StreamLabel,
@@ -52,20 +60,20 @@ def test_streams_with_different_labels_differ():
 def test_normal_determinism_same_seed():
     a = RngStream(123, StreamLabel.MEME_CONTENT)
     b = RngStream(123, StreamLabel.MEME_CONTENT)
-    first = [a.normal(), a.normal()]
-    second = [b.normal(), b.normal()]
+    first = [normal(a), normal(a)]
+    second = [normal(b), normal(b)]
     assert first == second
 
 
 def test_scalar_draws_equal_batched_draws():
     batched = RngStream(9, StreamLabel.DECISIONS).normals(64)
     stream = RngStream(9, StreamLabel.DECISIONS)
-    scalars = np.array([stream.normal() for _ in range(64)])
+    scalars = np.array([normal(stream) for _ in range(64)])
     assert np.array_equal(batched, scalars)
 
     batched_u = RngStream(9, StreamLabel.DECISIONS).uniforms(64)
     stream = RngStream(9, StreamLabel.DECISIONS)
-    scalars_u = np.array([stream.uniform() for _ in range(64)])
+    scalars_u = np.array([uniform(stream) for _ in range(64)])
     assert np.array_equal(batched_u, scalars_u)
 
 
@@ -96,12 +104,14 @@ def test_uniforms_in_unit_interval():
 
 def test_meme_vector_shape_and_determinism():
     # Recruits write fresh meme-content normals straight into meme_latents,
-    # one row of meme_dim draws per meme in creation order.
+    # one row of meme_dim draws per meme in creation order: the batch of a
+    # tick equals one draw per meme.
     cfg = SimConfig(population=40, recruits=4, memes_per_recruit=2,
                     recruit_batch_size=4, meme_dim=5, master_seed=4)
     world = recruit_step(init_world(cfg))
     assert world.meme_count == 8 and world.meme_latents.shape == (8, 5)
-    expected = RngStream(4, StreamLabel.MEME_CONTENT).normals(8 * 5).reshape(8, 5)
+    stream = RngStream(4, StreamLabel.MEME_CONTENT)
+    expected = np.array([stream.normals(5) for _ in range(8)])
     assert np.array_equal(world.meme_latents, expected)
     again = recruit_step(init_world(cfg))
     assert np.array_equal(world.meme_latents, again.meme_latents)
@@ -191,6 +201,52 @@ def test_wrap_coords_matches_scalar_path():
     for v, w in zip(vals, vec):
         assert wrap_scalar(float(v), 200.0) == w
     assert np.all(vec >= 0.0) and np.all(vec < 200.0)
+
+
+def _near_edges(span):
+    """0, span, -span and 2 * span, each with its neighbours one ULP away."""
+    edges = np.array([0.0, span, -span, 2 * span])
+    return np.concatenate([edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    span=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 1e300),
+                   st.floats(1e300, 8e307)),
+    fractions=st.lists(st.floats(-1.0, 2.0), max_size=20),
+    edges=st.booleans(),
+    far=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=2),
+)
+def test_wrap_coords_matches_mod_oracle(span, fractions, edges, far):
+    # Inputs in [-span, 2 * span) take the conditional add/subtract path and
+    # any other input sends the whole array down the np.mod path; both give
+    # the oracle's values (== ignores only the sign of a zero).
+    vals = np.array(fractions, dtype=np.float64) * span
+    if edges:
+        vals = np.concatenate([vals, _near_edges(span)])
+    vals = np.concatenate([vals, far])
+    got = wrap_coords(vals, span)
+    assert np.array_equal(got, wrap_mod(vals, span))
+    assert np.all(got >= 0.0) and np.all(got < span)
+
+
+def test_wrap_coords_edge_cases():
+    span = 200.0
+    below = np.nextafter(0.0, -1.0)
+    # A tiny negative input rounds up to exactly `span`, which maps to 0.
+    assert wrap_coords(np.array([below, -1e-18]), span).tolist() == [0.0, 0.0]
+    top = np.nextafter(2 * span, 0.0)
+    assert wrap_coords(np.array([-span, top]), span).tolist() == [0.0, top - span]
+    vals = np.array([np.nan, np.inf, 1.0])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(wrap_coords(vals, span), wrap_mod(vals, span),
+                              equal_nan=True)
+    assert wrap_coords(np.empty(0), span).shape == (0,)
+    # The input array is never written.
+    vals = np.array([-1.0, 250.0])
+    wrap_coords(vals, span)
+    assert vals.tolist() == [-1.0, 250.0]
 
 
 # ---------------------------------------------------------------------------

@@ -442,11 +442,14 @@ def test_engine_probability_cache_matches_contract_path():
 
 
 def differential_configs():
-    """Sixteen small worlds for the scalar-reference comparison.
+    """Twenty small worlds for the scalar-reference comparison.
 
     Intercepts span -6 (almost no sharing) to +2 (almost always), timer
     resets alternate, and every third world has a radius near the world
     span (fewer than three grid cells per axis) or a step near the span.
+    Three more worlds step between one and three times the larger span,
+    so the walk wraps through np.mod, and the last recruits its whole
+    population in one tick.
     """
     rng = np.random.default_rng(4242)
     intercepts = rng.permutation(np.linspace(-6.0, 2.0, 16))
@@ -472,6 +475,25 @@ def differential_configs():
             reinfection_resets_timer=bool(i % 2),
             master_seed=int(rng.integers(0, 2**63)),
         )
+    rng = np.random.default_rng(4343)
+    for intercept in (-3.0, -1.0, 1.0):
+        w, h = float(rng.uniform(6, 16)), float(rng.uniform(6, 16))
+        yield SimConfig(
+            population=int(rng.integers(20, 45)), recruits=4,
+            recruit_interval_ticks=2, recruit_batch_size=2, horizon_ticks=30,
+            world_width=w, world_height=h,
+            step_size=float(rng.uniform(1.0, 3.0) * max(w, h)),
+            neighbor_radius=float(rng.uniform(0.5, 3.0)),
+            infection_duration_ticks=4,
+            sharing_model=SharingModel(intercept, 0.5, 0.5, 0.25),
+            master_seed=int(rng.integers(0, 2**63)),
+        )
+    yield SimConfig(population=30, recruits=30, recruit_batch_size=30,
+                    memes_per_recruit=2, horizon_ticks=12,
+                    world_width=9.0, world_height=7.0, neighbor_radius=1.5,
+                    infection_duration_ticks=3,
+                    sharing_model=SharingModel(-2.0, 0.5, 0.5, 0.25),
+                    master_seed=int(rng.integers(0, 2**63)))
 
 
 def test_engine_matches_scalar_reference():
@@ -557,6 +579,27 @@ def test_query_many_matches_bruteforce():
 
         ptr, ids = grid.query_many(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
         assert list(ptr) == [0] and len(ids) == 0
+
+
+def test_query_many_matches_bruteforce_on_wide_cell_ids():
+    # Over 65,536 cells, so the grid sorts 32-bit cell ids; the brute-force
+    # scan runs for a sample of the agents only.
+    rng = np.random.default_rng(29)
+    n, w, h, radius = 70_000, 1000.0, 1000.0, 3.0
+    xs = rng.uniform(0, w, n)
+    ys = rng.uniform(0, h, n)
+    grid = UniformGrid(xs, ys, w, h, radius)
+    assert grid.ncx * grid.ncy > 2 ** 16
+    sub = rng.choice(n, size=300, replace=False)
+    ptr, ids = grid.query_many(xs[sub], ys[sub], sub)
+    for row, i in enumerate(sub):
+        dx = np.abs(xs - xs[i])
+        dx = np.minimum(dx, w - dx)
+        dy = np.abs(ys - ys[i])
+        dy = np.minimum(dy, h - dy)
+        want = np.flatnonzero(np.sqrt(dx * dx + dy * dy) <= radius)
+        assert np.array_equal(ids[ptr[row]:ptr[row + 1]], want[want != i])
+    assert ptr[-1] > 300  # about two neighbours per agent
 
 
 def test_grid_tiny_radius_keeps_cell_count_bounded():

@@ -42,7 +42,9 @@ def test_tracer_installs_on_current_names(tmp_path):
     assert (tmp_path / "run" / "events.log").is_file()
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0]
-    for name in ("engine.run", "cli.cmd_analyze", "logio.aggregate_hits",
+    for name in ("engine.run", "engine.recruit_step", "engine.walk_step",
+                 "engine.wrap_coords", "core.RngStream.uniforms",
+                 "cli.cmd_analyze", "logio.aggregate_hits",
                  "logio.writers", "cli.cmd_fit", "stats.load_design_csv",
                  "stats.ols_fit"):
         assert report["calls"].get(name, 0) >= 1, name

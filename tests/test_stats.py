@@ -14,7 +14,6 @@ from memesim.stats import (
     UndefinedRSquaredError,
     load_design_csv,
     logistic_fit,
-    logistic_log_likelihood,
     mcfadden,
     ols_fit,
     r_squared,
@@ -183,8 +182,8 @@ def test_logistic_gradient_matches_finite_differences():
         up, dn = beta.copy(), beta.copy()
         up[j] += h
         dn[j] -= h
-        fd = (logistic_log_likelihood(up, x, y)
-              - logistic_log_likelihood(dn, x, y)) / (2 * h)
+        fd = (_helpers.logistic_log_likelihood(up, x, y)
+              - _helpers.logistic_log_likelihood(dn, x, y)) / (2 * h)
         scale = max(abs(fd), 1.0)
         assert abs(analytic[j] - fd) / scale <= 1e-4
 
