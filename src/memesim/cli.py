@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import statistics
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 from . import engine, logio, stats
 from .core import ConfigurationError, InputError, substream_seed
 from .decision import SharingModel
 from .engine import SimConfig
-from .plot import Panel, Series, render_time_series_svg
+from .plot import Panel, render_time_series_svg
 
 _MODEL_KEYS = ("intercept", "w_humor", "w_relevance", "w_selfref")
 _SIM_KEYS = {f.name for f in dataclass_fields(SimConfig)}
@@ -151,41 +150,23 @@ def _apply_point(config: SimConfig, point: dict) -> SimConfig:
     if model_patch:
         overrides["sharing_model"] = _build_sharing_model(model_patch,
                                                           config.sharing_model)
-    return config.with_overrides(**overrides)
+    return replace(config, **overrides)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _summary_from_output(output: engine.SimOutput) -> logio.HitSummary:
-    """HitSummary for a run without re-reading the event log.
-
-    Exposure bins come from differencing the cumulative series, which equals
-    binning the EXPOSE events by tick.
-    """
-    width = output.config.analysis_bin_width
-    bins = {}
-    prev = 0
-    for tick, cum in enumerate(output.cumulative_exposures):
-        count = int(cum) - prev
-        prev = int(cum)
-        if count:
-            start = (tick // width) * width
-            bins[start] = bins.get(start, 0) + count
-    return logio.summary_from_counts(dict(output.per_meme_hits), bins, width,
-                                     logio.DEFAULT_COUNTED_KINDS)
-
-
 def cmd_simulate(config_path, out_dir, seed_override=None) -> int:
     config, _, cfg_out = load_run_config(config_path)
     if seed_override is not None:
-        config = config.with_overrides(master_seed=seed_override)
+        config = replace(config, master_seed=seed_override)
         config.ensure_valid()
     out = _resolve_out_dir(out_dir, cfg_out)
 
     output = engine.run(config)
-    summary = _summary_from_output(output)
+    summary = logio.summary_from_counts(output.per_meme_hits, {},
+                                        config.analysis_bin_width)
 
     output.write_event_log(out / "events.log")
     output.write_timeseries_csv(out / "timeseries.csv")
@@ -194,11 +175,9 @@ def cmd_simulate(config_path, out_dir, seed_override=None) -> int:
 
     ticks = list(range(len(output.cumulative_exposures)))
     svg = render_time_series_svg([
-        Panel(title="Currently infected",
-              series=[Series("", ticks, [int(v) for v in output.currently_infected])],
+        Panel("Currently infected", ticks, output.currently_infected.tolist(),
               y_label="(agent, meme) pairs"),
-        Panel(title="Cumulative exposures",
-              series=[Series("", ticks, [int(v) for v in output.cumulative_exposures])],
+        Panel("Cumulative exposures", ticks, output.cumulative_exposures.tolist(),
               y_label="exposures"),
     ])
     (out / "timeseries.svg").write_text(svg)
@@ -218,17 +197,16 @@ def cmd_sweep(config_path, out_dir) -> int:
     rows = []
     for point in _sweep_points(sweep):
         for replicate in range(sweep.replicates):
-            run_cfg = _apply_point(config, point).with_overrides(
-                master_seed=seeds[replicate])
+            run_cfg = replace(_apply_point(config, point),
+                              master_seed=seeds[replicate])
             output = engine.run(run_cfg)
-            hits = list(output.per_meme_hits.values())
+            summary = logio.summary_from_counts(output.per_meme_hits, {},
+                                                run_cfg.analysis_bin_width)
             final = int(output.cumulative_exposures[-1]) \
                 if len(output.cumulative_exposures) else 0
             rows.append(
                 [point[name] for name in axis_names]
-                + [seeds[replicate], final,
-                   max(hits) if hits else 0,
-                   float(statistics.median(hits)) if hits else 0.0])
+                + [seeds[replicate], final, summary.max_hits, summary.median_hits])
 
     with open(out / "sweep.csv", "w", newline="") as fh:
         fh.write(",".join(axis_names
@@ -263,13 +241,12 @@ def cmd_analyze(log_path, bin_width, out_dir, sim_timeseries=None) -> int:
         # Side-by-side comparison: analyzed log traffic next to a simulated
         # exposure curve.
         starts = sorted(summary.bins)
-        left = Panel(title="Analyzed log: hits per bin",
-                     series=[Series("", starts,
-                                    [summary.bins[s] for s in starts])],
+        left = Panel("Analyzed log: hits per bin", starts,
+                     [summary.bins[s] for s in starts],
                      x_label=f"tick (bin width {bin_width})", y_label="hits")
         ticks, cum = _read_timeseries_csv(sim_timeseries)
-        right = Panel(title="Simulation: cumulative exposures",
-                      series=[Series("", ticks, cum)], y_label="exposures")
+        right = Panel("Simulation: cumulative exposures", ticks, cum,
+                      y_label="exposures")
         (out / "comparison.svg").write_text(render_time_series_svg([left, right]))
     return 0
 

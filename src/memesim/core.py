@@ -5,8 +5,10 @@ counter-based SplitMix64 generator with an explicitly documented transform
 so that draw sequences are bit-reproducible across runs and platforms:
 
 * raw 64-bit output ``i`` (1-based) of a stream with base state ``s`` is
-  ``mix64(s + i * GAMMA) mod 2**64`` where ``mix64`` is the SplitMix64
+  ``mix64((s + i * GAMMA) mod 2**64)`` where ``mix64`` is the SplitMix64
   finalizer and ``GAMMA = 0x9E3779B97F4A7C15``;
+* the base state of substream ``salt`` of ``seed`` is
+  ``mix64(seed ^ mix64((salt + GAMMA) mod 2**64))``;
 * a uniform in ``[0, 1)`` is ``(raw >> 11) * 2.0**-53``;
 * a standard normal consumes two raws ``(r1, r2)`` and returns
   ``sqrt(-2 * ln(1 - u1)) * cos(2 * pi * u2)`` (Box-Muller, cosine branch
@@ -14,7 +16,8 @@ so that draw sequences are bit-reproducible across runs and platforms:
 
 Raw output ``i`` depends only on the base state and ``i``, so ``k`` draws
 of one value each and one draw of ``k`` values give identical sequences;
-the engine takes each tick's draws of a stream in one call.  All
+the engine takes each tick's draws of a stream in one call.  Every mix64
+runs on ``uint64`` arrays, whose arithmetic wraps modulo 2**64.  All
 floating-point transcendentals are evaluated by numpy; on any platform
 with IEEE-754 doubles the streams agree bit-for-bit up to libm rounding
 of ``log``/``cos``, which the determinism tests pin down for the host.
@@ -50,14 +53,6 @@ class InputError(ValueError):
 # SplitMix64 core
 # ---------------------------------------------------------------------------
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer (pure-Python reference)."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MULT1) & MASK64
-    z = ((z ^ (z >> 27)) * _MULT2) & MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_u64(z: np.ndarray) -> np.ndarray:
     """Vectorized mix64 over a uint64 array (wrapping arithmetic)."""
     z = z ^ (z >> np.uint64(30))
@@ -68,17 +63,19 @@ def _mix64_u64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _substream_seeds_u64(seeds: np.ndarray, salts: np.ndarray) -> np.ndarray:
+    return _mix64_u64(seeds ^ _mix64_u64(salts + np.uint64(GAMMA)))
+
+
 def substream_seed(seed: int, salt: int) -> int:
     """Derive an independent base state from (seed, salt).
 
     Both inputs go through mix64 so nearby seeds or salts land in
     unrelated parts of the state space.
     """
-    return mix64((seed ^ mix64((salt + GAMMA) & MASK64)) & MASK64)
-
-
-def _substream_seeds_u64(seeds: np.ndarray, salts: np.ndarray) -> np.ndarray:
-    return _mix64_u64(seeds ^ _mix64_u64(salts + np.uint64(GAMMA & MASK64)))
+    seeds = np.array([seed & MASK64], dtype=np.uint64)
+    salts = np.array([salt & MASK64], dtype=np.uint64)
+    return int(_substream_seeds_u64(seeds, salts)[0])
 
 
 def _raw_block(state: int, n: int) -> np.ndarray:

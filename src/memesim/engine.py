@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,9 +132,6 @@ class SimConfig:
             raise ConfigurationError(f"invalid config: {msg}",
                                      fields=[name for name, _ in bad])
 
-    def with_overrides(self, **kwargs) -> "SimConfig":
-        return replace(self, **kwargs)
-
     @property
     def max_memes(self) -> int:
         return self.recruits * self.memes_per_recruit
@@ -154,7 +151,7 @@ def _is_real(v) -> bool:
 # ---------------------------------------------------------------------------
 
 class EventLog:
-    """Append-only event store; iteration yields EventRecord in emission order."""
+    """Append-only event store; records() yields EventRecord in emission order."""
 
     __slots__ = ("ticks", "kinds", "agents", "memes")
 
@@ -179,9 +176,6 @@ class EventLog:
                                            self.agents, self.memes):
             yield EventRecord(tick=tick, kind=_KIND_BY_CODE[code],
                               agent_id=agent, meme_id=None if meme < 0 else meme)
-
-    def __iter__(self):
-        return self.records()
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +277,7 @@ class WorldState:
                  "perception_seeds", "meme_latents", "meme_count",
                  "keys", "expiry", "probs", "hits", "cumulative_exposures",
                  "events", "placement", "walk", "meme_content", "decisions",
-                 "infected_series", "exposure_series", "_grid")
+                 "infected_series", "exposure_series")
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -312,16 +306,12 @@ class WorldState:
         self.events = EventLog()
         self.infected_series = []
         self.exposure_series = []
-        self._grid = None
 
     # -- views -------------------------------------------------------------
 
     def grid(self) -> UniformGrid:
-        if self._grid is None:
-            self._grid = UniformGrid(self.xs, self.ys, self.config.world_width,
-                                     self.config.world_height,
-                                     self.config.neighbor_radius)
-        return self._grid
+        return UniformGrid(self.xs, self.ys, self.config.world_width,
+                           self.config.world_height, self.config.neighbor_radius)
 
     # -- internals ----------------------------------------------------------
 
@@ -411,7 +401,6 @@ def walk_step(world: WorldState) -> WorldState:
     dy *= cfg.step_size
     dy += world.ys
     world.ys = wrap_coords(dy, cfg.world_height)
-    world._grid = None
     return world
 
 
@@ -555,7 +544,6 @@ def run(config: SimConfig) -> SimOutput:
     Pure function of the config: identical config and seed give a
     byte-identical event log.
     """
-    config.ensure_valid()
     world = init_world(config)
     for _ in range(config.horizon_ticks):
         step(world)

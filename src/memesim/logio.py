@@ -29,8 +29,6 @@ _KIND_BY_NAME = {kind.value: kind for kind in EventKind}
 _KINDS = tuple(EventKind)
 _INT64_MAX = 2**63 - 1
 
-DEFAULT_COUNTED_KINDS = frozenset({EventKind.EXPOSE})
-
 # read_columns reads this many bytes at a time, so its memory is bounded by
 # one block (plus the longest line) whatever the size of the log.
 _BLOCK_BYTES = 1 << 20
@@ -223,7 +221,6 @@ class HitSummary:
     per_meme: dict
     bins: dict
     bin_width_ticks: int
-    counted_kinds: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,12 +230,12 @@ class HitSummary:
             "median_hits": self.median_hits,
             "fraction_below_2": self.fraction_below_2,
             "bin_width_ticks": self.bin_width_ticks,
-            "counted_kinds": list(self.counted_kinds),
+            "counted_kinds": [EventKind.EXPOSE.value],
         }
 
 
-def summary_from_counts(per_meme: dict, bins: dict, bin_width_ticks: int,
-                        counted_kinds) -> HitSummary:
+def summary_from_counts(per_meme: dict, bins: dict,
+                        bin_width_ticks: int) -> HitSummary:
     """Build a HitSummary from already-aggregated tables (e.g. engine output)."""
     counts = list(per_meme.values())
     total = sum(counts)
@@ -252,31 +249,27 @@ def summary_from_counts(per_meme: dict, bins: dict, bin_width_ticks: int,
         per_meme=per_meme,
         bins=bins,
         bin_width_ticks=bin_width_ticks,
-        counted_kinds=tuple(sorted(k.value for k in counted_kinds)),
     )
 
 
-def aggregate_hits(blocks, counted_kinds=None, bin_width_ticks: int = 1) -> HitSummary:
+def aggregate_hits(blocks, bin_width_ticks: int = 1) -> HitSummary:
     """One pass over column blocks as read_columns yields them.
 
-    Per-meme counts cover `counted_kinds` (default: EXPOSE only).  The meme
-    universe for the median and fraction statistics is every meme that shows
-    up in a CREATE or EXPOSE record, so created-but-never-viewed memes count
-    as zero-hit memes; memes seen only via other counted kinds are included
-    too, to keep the table consistent with total_hits.  Memory is one block
-    plus the distinct memes and bins, whatever the largest id or tick.
+    A hit is an EXPOSE record: one view of a meme.  The meme universe for
+    the median and fraction statistics is every meme that shows up in a
+    CREATE or EXPOSE record, so created-but-never-viewed memes count as
+    zero-hit memes.  Memory is one block plus the distinct memes and bins,
+    whatever the largest id or tick.
     """
     if bin_width_ticks < 1:
         raise InputError(f"bin width must be >= 1, got {bin_width_ticks}")
-    counted = (DEFAULT_COUNTED_KINDS if counted_kinds is None
-               else frozenset(counted_kinds))
-    counted_codes = [_KINDS.index(kind) for kind in counted]
-    universe_codes = [_KINDS.index(EventKind.CREATE), _KINDS.index(EventKind.EXPOSE)]
+    expose = _KINDS.index(EventKind.EXPOSE)
+    create = _KINDS.index(EventKind.CREATE)
     empty = np.empty(0, dtype=np.int64)
     per_meme, bins = (empty, empty), (empty, empty)
     for ticks, kinds, _, memes in blocks:
-        hit = np.isin(kinds, counted_codes) & (memes >= 0)
-        seen = hit | np.isin(kinds, universe_codes)
+        hit = kinds == expose
+        seen = hit | (kinds == create)
         per_meme = _add_counts(per_meme, memes[seen], hit[seen])
         if bin_width_ticks > _INT64_MAX:      # one bin from 0 holds every tick
             starts = np.zeros(np.count_nonzero(hit), dtype=np.int64)
@@ -285,7 +278,7 @@ def aggregate_hits(blocks, counted_kinds=None, bin_width_ticks: int = 1) -> HitS
         bins = _add_counts(bins, starts, np.ones(len(starts), dtype=np.int64))
     return summary_from_counts(dict(zip(per_meme[0].tolist(), per_meme[1].tolist())),
                                dict(zip(bins[0].tolist(), bins[1].tolist())),
-                               bin_width_ticks, counted)
+                               bin_width_ticks)
 
 
 def _add_counts(table, keys, counts):

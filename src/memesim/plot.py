@@ -8,9 +8,9 @@ analyzed access log next to a simulated exposure curve).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_COLOR = "#1f77b4"
 
 _PANEL_W = 420
 _PANEL_H = 300
@@ -21,16 +21,10 @@ _MARGIN_B = 42
 
 
 @dataclass
-class Series:
-    label: str
-    xs: list
-    ys: list
-
-
-@dataclass
 class Panel:
     title: str
-    series: list = field(default_factory=list)
+    xs: list
+    ys: list
     x_label: str = "tick"
     y_label: str = ""
 
@@ -65,10 +59,9 @@ def _render_panel(panel: Panel, x_off: int, parts: list):
     plot_w = _PANEL_W - _MARGIN_L - _MARGIN_R
     plot_h = _PANEL_H - _MARGIN_T - _MARGIN_B
 
-    all_x = [x for s in panel.series for x in s.xs]
-    all_y = [y for s in panel.series for y in s.ys]
-    x_lo, x_hi = (min(all_x), max(all_x)) if all_x else (0.0, 1.0)
-    y_lo, y_hi = (min(all_y), max(all_y)) if all_y else (0.0, 1.0)
+    xs, ys = panel.xs, panel.ys
+    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
+    y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -108,17 +101,9 @@ def _render_panel(panel: Panel, x_off: int, parts: list):
                      f'font-size="11" transform="rotate(-90 {cx} {cy:.1f})">'
                      f"{panel.y_label}</text>")
 
-    for i, s in enumerate(panel.series):
-        color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        if s.label:
-            ly = y0 + 14 + 14 * i
-            parts.append(f'<line x1="{x0 + 8}" y1="{ly - 4}" x2="{x0 + 28}" '
-                         f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-            parts.append(f'<text x="{x0 + 33}" y="{ly}" font-size="10">'
-                         f"{s.label}</text>")
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" '
+                 f'stroke-width="1.5"/>')
 
 
 def render_time_series_svg(panels) -> str:

@@ -14,9 +14,12 @@ import numpy as np
 
 from memesim import logio, stats
 from memesim.core import (
+    MASK64,
     EventKind,
     EventRecord,
     InputError,
+    _MULT1,
+    _MULT2,
     _raw_block,
     _to_normal,
     substream_seed,
@@ -27,6 +30,14 @@ from memesim.engine import _KIND_CODE, UniformGrid, init_world, walk_step
 # ---------------------------------------------------------------------------
 # Scalar oracles
 # ---------------------------------------------------------------------------
+
+def mix64(z: int) -> int:
+    """SplitMix64 finalizer on a 64-bit integer with Python ints."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * _MULT1) & MASK64
+    z = ((z ^ (z >> 27)) * _MULT2) & MASK64
+    return z ^ (z >> 31)
+
 
 def wrap_scalar(v: float, span: float) -> float:
     """Wrap one coordinate into [0, span) with Python float arithmetic."""
@@ -194,10 +205,8 @@ def read_log(path):
         yield from parse_lines(fh)
 
 
-def aggregate_records(records, counted_kinds=None, bin_width_ticks=1):
+def aggregate_records(records, bin_width_ticks=1):
     """HitSummary of records by dicts, one record at a time."""
-    counted = (logio.DEFAULT_COUNTED_KINDS if counted_kinds is None
-               else frozenset(counted_kinds))
     per_meme = {}
     bins = {}
     for record in records:
@@ -206,11 +215,11 @@ def aggregate_records(records, counted_kinds=None, bin_width_ticks=1):
             continue
         if record.kind is EventKind.CREATE or record.kind is EventKind.EXPOSE:
             per_meme.setdefault(meme_id, 0)
-        if record.kind in counted:
-            per_meme[meme_id] = per_meme.get(meme_id, 0) + 1
+        if record.kind is EventKind.EXPOSE:
+            per_meme[meme_id] += 1
             bin_start = (record.tick // bin_width_ticks) * bin_width_ticks
             bins[bin_start] = bins.get(bin_start, 0) + 1
-    return logio.summary_from_counts(per_meme, bins, bin_width_ticks, counted)
+    return logio.summary_from_counts(per_meme, bins, bin_width_ticks)
 
 
 def load_design_csv(path):

@@ -392,21 +392,37 @@ def test_pipeline_closure_simulate_then_analyze(tmp_path):
             == (sim_out / "summary.json").read_bytes())
 
 
+# The tiny fixed run whose artifacts tests/golden/ holds.
+MICRO = {
+    "population": 40, "recruits": 4, "memes_per_recruit": 2,
+    "recruit_interval_ticks": 2, "horizon_ticks": 12,
+    "world_width": 12.0, "world_height": 12.0,
+    "neighbor_radius": 3.0, "infection_duration_ticks": 4,
+    "sharing_model": {"intercept": -1.0, "w_humor": 0.4,
+                      "w_relevance": 0.4, "w_selfref": 0.2},
+    "master_seed": 5,
+}
+
+
 def test_golden_micro_run(tmp_path):
     """Schema lock: artifacts of a tiny fixed run match committed goldens."""
-    cfg = write_config(tmp_path, {
-        "population": 40, "recruits": 4, "memes_per_recruit": 2,
-        "recruit_interval_ticks": 2, "horizon_ticks": 12,
-        "world_width": 12.0, "world_height": 12.0,
-        "neighbor_radius": 3.0, "infection_duration_ticks": 4,
-        "sharing_model": {"intercept": -1.0, "w_humor": 0.4,
-                          "w_relevance": 0.4, "w_selfref": 0.2},
-        "master_seed": 5,
-    })
+    cfg = write_config(tmp_path, MICRO)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    for name in ("events.log", "timeseries.csv", "hits.csv", "summary.json"):
-        assert (out / name).read_text() == (GOLDEN / name).read_text(), name
+    for name in ("events.log", "timeseries.csv", "hits.csv", "summary.json",
+                 "timeseries.svg"):
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_golden_micro_sweep(tmp_path):
+    """Byte lock on sweep.csv: two intercepts by two replicates of the
+    micro-run; two rows have a median_hits of the form k + 0.5."""
+    doc = dict(MICRO, sweep={"axes": {"sharing_model.intercept": [-2.0, -1.0]},
+                             "replicates": 2})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     keyed_normals,
+    mix64,
     normal,
     perceive_features,
     torus_distance,
@@ -15,9 +16,10 @@ from _helpers import (
     wrap_scalar,
 )
 from memesim.core import (
+    GAMMA,
+    MASK64,
     RngStream,
     StreamLabel,
-    mix64,
     perception_noise_batch,
     substream_seed,
     wrap_coords,
@@ -45,6 +47,11 @@ def test_substream_seed_python_matches_numpy():
     arr = _substream_seeds_u64(seeds, salts)
     for s, t, out in zip(seeds, salts, arr):
         assert substream_seed(int(s), int(t)) == int(out)
+        assert mix64(int(s) ^ mix64(int(t) + GAMMA)) == int(out)
+    # Inputs outside [0, 2**64) are taken modulo 2**64.
+    for s, t in ((-3, 5), (2**64 + 9, 2**64 - 1), (7, -1)):
+        assert (substream_seed(s, t)
+                == mix64((s & MASK64) ^ mix64(((t & MASK64) + GAMMA) & MASK64)))
 
 
 def test_streams_with_different_labels_differ():

@@ -1,6 +1,7 @@
 """Engine: tick phases, SIS bookkeeping, neighbor search, determinism."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_full_recruitment_flag():
     cfg = SimConfig(population=50, recruits=10, recruit_interval_ticks=4,
                     horizon_ticks=20, require_full_recruitment=True)
     assert any(name == "horizon_ticks" for name, _ in cfg.validate())
-    assert cfg.with_overrides(horizon_ticks=40).validate() == []
+    assert replace(cfg, horizon_ticks=40).validate() == []
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,7 @@ def test_run_determinism_byte_identical_logs(tmp_path):
     assert np.array_equal(out1.currently_infected, out2.currently_infected)
     assert np.array_equal(out1.cumulative_exposures, out2.cumulative_exposures)
     assert out1.per_meme_hits == out2.per_meme_hits
-    other = run(cfg.with_overrides(master_seed=8))
+    other = run(replace(cfg, master_seed=8))
     assert other.per_meme_hits != out1.per_meme_hits
 
 
@@ -391,8 +392,8 @@ def test_raising_intercept_does_not_reduce_mean_exposures():
     lo_total = hi_total = 0
     for seed in range(20):
         base = small_config(population=150, horizon_ticks=60, master_seed=seed)
-        lo = run(base.with_overrides(sharing_model=lo_model))
-        hi = run(base.with_overrides(sharing_model=hi_model))
+        lo = run(replace(base, sharing_model=lo_model))
+        hi = run(replace(base, sharing_model=hi_model))
         lo_total += int(lo.cumulative_exposures[-1])
         hi_total += int(hi.cumulative_exposures[-1])
     assert hi_total >= lo_total

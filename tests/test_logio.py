@@ -198,14 +198,6 @@ def test_binning():
     assert s.bin_width_ticks == 10
 
 
-def test_counted_kinds_override():
-    records = [_create(0, 0), _expose(1, 0),
-               EventRecord(1, EventKind.SHARE, 9, 0)]
-    s = aggregate(records, counted_kinds={EventKind.SHARE})
-    assert s.per_meme == {0: 1}
-    assert s.total_hits == 1
-
-
 def test_totals_match_bruteforce_recount_on_million_line_log():
     # Streamed both times so the aggregation's single-pass claim is also
     # exercised at full scale.
@@ -321,12 +313,10 @@ record_strategy = st.builds(
 @given(records=st.lists(record_strategy, min_size=1, max_size=30),
        mutations=st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3),
        block_bytes=st.sampled_from([1, 2, 7, 40, 200, logio._BLOCK_BYTES]),
-       counted=st.sampled_from([None, {EventKind.SHARE, EventKind.RECRUIT},
-                                set(KINDS)]),
        bin_width=st.one_of(st.integers(1, 10**6), st.just(2**64)),
        data=st.data())
 def test_block_reader_matches_line_oracle(tmp_path_factory, records, mutations,
-                                          block_bytes, counted, bin_width, data):
+                                          block_bytes, bin_width, data):
     lines = [emit_line(rec).encode() for rec in records]
     for mutation in mutations:
         i = data.draw(st.integers(0, len(lines) - 1))
@@ -336,11 +326,11 @@ def test_block_reader_matches_line_oracle(tmp_path_factory, records, mutations,
 
     def oracle():
         recs = list(read_log(path))
-        return recs, aggregate_records(recs, counted, bin_width)
+        return recs, aggregate_records(recs, bin_width)
 
     def block_reader():
         return (records_of(read_columns(path)),
-                aggregate_hits(read_columns(path), counted, bin_width))
+                aggregate_hits(read_columns(path), bin_width))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logio, "_BLOCK_BYTES", block_bytes)

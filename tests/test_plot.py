@@ -2,12 +2,11 @@
 
 import xml.etree.ElementTree as ET
 
-from memesim.plot import Panel, Series, render_time_series_svg, _nice_ticks
+from memesim.plot import Panel, render_time_series_svg, _nice_ticks
 
 
 def _panel(n=30):
-    return Panel(title="series", series=[Series("s", list(range(n)),
-                                                [v * v for v in range(n)])])
+    return Panel("series", list(range(n)), [v * v for v in range(n)])
 
 
 def test_same_input_same_bytes():
@@ -27,8 +26,7 @@ def test_two_panels_double_width():
 
 
 def test_degenerate_series_render():
-    panels = [Panel(title="empty", series=[Series("", [], [])]),
-              Panel(title="flat", series=[Series("", [0, 1], [3, 3])])]
+    panels = [Panel("empty", [], []), Panel("flat", [0, 1], [3, 3])]
     ET.fromstring(render_time_series_svg(panels))
 
 
