@@ -63,11 +63,11 @@ def load_run_config(path):
 
     Unknown keys are rejected and every SimConfig invariant is revalidated.
     """
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path} is not valid JSON: {exc}",
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"{path} is not valid UTF-8 JSON: {exc}",
                                      fields=("<document>",)) from None
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a JSON object",
@@ -110,7 +110,7 @@ def _parse_sweep(value, config: SimConfig) -> SweepSpec:
                                  fields=("sweep.axes",))
     for name, values in axes.items():
         if not _is_sweepable(name):
-            raise ConfigurationError(f"unknown sweep axis {name!r}",
+            raise ConfigurationError(f"{name!r} cannot be a sweep axis",
                                      fields=(f"sweep.axes.{name}",))
         if not isinstance(values, list) or not values:
             raise ConfigurationError(f"sweep axis {name!r} needs a non-empty list",
@@ -127,7 +127,9 @@ def _parse_sweep(value, config: SimConfig) -> SweepSpec:
 
 
 def _is_sweepable(name: str) -> bool:
-    if name in _SIM_KEYS and name not in ("sharing_model",):
+    # Replicates take their seeds from the base master_seed, which would
+    # overwrite a master_seed axis.
+    if name in _SIM_KEYS and name not in ("sharing_model", "master_seed"):
         return True
     return (name.startswith("sharing_model.")
             and name.split(".", 1)[1] in _MODEL_KEYS)
@@ -233,19 +235,20 @@ def cmd_fit(data_path, model: str, out_path) -> int:
 def cmd_analyze(log_path, bin_width, out_dir, sim_timeseries=None) -> int:
     summary = logio.aggregate_hits(logio.read_columns(log_path),
                                    bin_width_ticks=bin_width)
+    # Read before anything is written, so a bad series leaves no artifact.
+    series = None if sim_timeseries is None else _read_timeseries_csv(sim_timeseries)
     out = _resolve_out_dir(out_dir, None)
     logio.write_summary_json(summary, out / "summary.json")
     logio.write_hits_csv(summary.per_meme, out / "hits.csv")
     logio.write_bins_csv(summary.bins, out / "bins.csv")
-    if sim_timeseries is not None:
+    if series is not None:
         # Side-by-side comparison: analyzed log traffic next to a simulated
         # exposure curve.
         starts = sorted(summary.bins)
         left = Panel("Analyzed log: hits per bin", starts,
                      [summary.bins[s] for s in starts],
                      x_label=f"tick (bin width {bin_width})", y_label="hits")
-        ticks, cum = _read_timeseries_csv(sim_timeseries)
-        right = Panel("Simulation: cumulative exposures", ticks, cum,
+        right = Panel("Simulation: cumulative exposures", *series,
                       y_label="exposures")
         (out / "comparison.svg").write_text(render_time_series_svg([left, right]))
     return 0
@@ -253,12 +256,14 @@ def cmd_analyze(log_path, bin_width, out_dir, sim_timeseries=None) -> int:
 
 def _read_timeseries_csv(path):
     ticks, cum = [], []
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header = fh.readline().strip()
         if header != "tick,currently_infected,cumulative_exposures":
             raise InputError(f"{path}: not a simulation timeseries CSV")
         for lineno, line in enumerate(fh, start=2):
             try:
+                if not line.isascii():  # int accepts non-ASCII digits such as '٣'
+                    raise ValueError(line)
                 t, _, c = line.strip().split(",")
                 tick, exposures = int(t), int(c)
             except ValueError:

@@ -26,7 +26,7 @@ of ``log``/``cos``, which the determinism tests pin down for the host.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -123,12 +123,10 @@ class RngStream:
     Not shareable between concurrent callers: each thread owns its stream.
     """
 
-    __slots__ = ("seed", "stream_label", "_state")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int, stream_label: StreamLabel):
-        self.seed = seed & MASK64
-        self.stream_label = stream_label
-        self._state = substream_seed(self.seed, stream_label.value)
+        self._state = substream_seed(seed, stream_label.value)
 
     def raw(self, n: int) -> np.ndarray:
         block = _raw_block(self._state, n)
@@ -146,15 +144,21 @@ class RngStream:
 # Domain types
 # ---------------------------------------------------------------------------
 
-class EventKind(Enum):
-    """The six event types a simulation emits (and a log may contain)."""
+class EventKind(IntEnum):
+    """The six event types a simulation emits (and a log may contain).
 
-    RECRUIT = "RECRUIT"
-    CREATE = "CREATE"
-    SHARE = "SHARE"
-    EXPOSE = "EXPOSE"
-    INFECT = "INFECT"
-    RECOVER = "RECOVER"
+    A member's value is its code in the kind columns of EventLog and
+    logio.read_columns, and its name is its log token: EventKind(code)
+    decodes a column and EventKind.__members__.get(token) parses a token.
+    Format a kind by .name; from Python 3.11 on, str() gives the integer.
+    """
+
+    RECRUIT = 0
+    CREATE = 1
+    SHARE = 2
+    EXPOSE = 3
+    INFECT = 4
+    RECOVER = 5
 
 
 @dataclass(frozen=True)

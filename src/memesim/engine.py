@@ -40,9 +40,6 @@ from .core import (
 )
 from .decision import DEFAULT_SHARING_MODEL, SharingModel, sigmoid_array
 
-_KIND_CODE = {kind: i for i, kind in enumerate(EventKind)}
-_KIND_BY_CODE = list(EventKind)
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -157,7 +154,7 @@ class EventLog:
 
     def __init__(self):
         self.ticks = array("q")
-        self.kinds = array("b")  # index into EventKind
+        self.kinds = array("b")  # EventKind values
         self.agents = array("q")
         self.memes = array("q")  # -1 encodes "no meme" (RECRUIT)
 
@@ -174,7 +171,7 @@ class EventLog:
     def records(self):
         for tick, code, agent, meme in zip(self.ticks, self.kinds,
                                            self.agents, self.memes):
-            yield EventRecord(tick=tick, kind=_KIND_BY_CODE[code],
+            yield EventRecord(tick=tick, kind=EventKind(code),
                               agent_id=agent, meme_id=None if meme < 0 else meme)
 
 
@@ -378,9 +375,8 @@ def recruit_step(world: WorldState) -> WorldState:
         n_memes * cfg.meme_dim).reshape(n_memes, cfg.meme_dim)
     world.meme_count += n_memes
     # Per recruit: RECRUIT, then CREATE and INFECT for each of its memes.
-    kinds = np.tile([_KIND_CODE[EventKind.RECRUIT]]
-                    + [_KIND_CODE[EventKind.CREATE], _KIND_CODE[EventKind.INFECT]]
-                    * cfg.memes_per_recruit, k)
+    kinds = np.tile([EventKind.RECRUIT]
+                    + [EventKind.CREATE, EventKind.INFECT] * cfg.memes_per_recruit, k)
     memes = np.column_stack([np.full(k, -1), np.repeat(mids, 2, axis=1)])
     world.events.extend(world.tick, kinds,
                         np.repeat(recruits, memes.shape[1]), memes.ravel())
@@ -445,26 +441,15 @@ def share_step(world: WorldState) -> WorldState:
     infect = np.zeros(n_exp, dtype=bool)
     infect[first_exposure[~known]] = True
 
-    # Event slots: each pair's SHARE precedes its exposures, and each
-    # INFECT directly follows its EXPOSE.
-    infects_before = np.zeros(n_exp + 1, dtype=np.int64)
-    np.cumsum(infect, out=infects_before[1:])
-    share_at = np.arange(n_pairs) + first + infects_before[first]
-    expose_at = np.arange(n_exp) + pair_of + 1 + infects_before[:-1]
-    infect_at = expose_at[infect] + 1
-    total = n_pairs + n_exp + len(infect_at)
-    kinds = np.empty(total, dtype=np.int8)
-    agents = np.empty(total, dtype=np.int64)
-    event_memes = np.empty(total, dtype=np.int64)
-    kinds[share_at] = _KIND_CODE[EventKind.SHARE]
-    agents[share_at] = sharers
-    event_memes[share_at] = memes
-    kinds[expose_at] = _KIND_CODE[EventKind.EXPOSE]
-    agents[expose_at] = exposed
-    event_memes[expose_at] = exp_memes
-    kinds[infect_at] = _KIND_CODE[EventKind.INFECT]
-    agents[infect_at] = exposed[infect]
-    event_memes[infect_at] = exp_memes[infect]
+    # Each INFECT goes after its EXPOSE, each SHARE before its pair's first
+    # exposure.  np.insert keeps the given order of equal slots, so an INFECT
+    # that ends one pair stays ahead of the next pair's SHARE.
+    slots = np.concatenate([np.flatnonzero(infect) + 1, first])
+    n_infect = len(slots) - n_pairs
+    kinds = np.insert(np.full(n_exp, EventKind.EXPOSE, dtype=np.int8), slots,
+                      np.repeat([EventKind.INFECT, EventKind.SHARE], [n_infect, n_pairs]))
+    agents = np.insert(exposed, slots, np.concatenate([exposed[infect], sharers]))
+    event_memes = np.insert(exp_memes, slots, np.concatenate([exp_memes[infect], memes]))
     world.events.extend(world.tick, kinds, agents, event_memes)
     world.hits += np.bincount(exp_memes, minlength=m)
     world.cumulative_exposures += n_exp
@@ -483,7 +468,7 @@ def recovery_step(world: WorldState) -> WorldState:
         return world
     agents, memes = np.divmod(world.keys[due], world.config.max_memes)
     world.events.extend(world.tick,
-                        np.full(len(agents), _KIND_CODE[EventKind.RECOVER]),
+                        np.full(len(agents), EventKind.RECOVER),
                         agents, memes)
     keep = ~due
     world.keys = world.keys[keep]

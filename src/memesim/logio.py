@@ -25,8 +25,6 @@ import numpy as np
 
 from .core import EventKind, EventRecord, InputError
 
-_KIND_BY_NAME = {kind.value: kind for kind in EventKind}
-_KINDS = tuple(EventKind)
 _INT64_MAX = 2**63 - 1
 
 # read_columns reads this many bytes at a time, so its memory is bounded by
@@ -37,7 +35,7 @@ _BLOCK_BYTES = 1 << 20
 # and contains no \r, so a \r-ended line never matches.
 _LINE = re.compile(
     rb'^\d+ \d+ "GET /(?:m/\d+)?" (?:'
-    + b"|".join(kind.value.encode() for kind in EventKind) + rb")$",
+    + b"|".join(kind.name.encode() for kind in EventKind) + rb")$",
     re.ASCII | re.MULTILINE)
 # A line of ASCII whitespace (the empty line after a final \n included),
 # which every reader skips as blank.
@@ -61,10 +59,10 @@ class LogParseError(ValueError):
 def write_lines(fh, ticks, kinds, agents, memes):
     """Write events given as columns, one line each, to the text file `fh`.
 
-    kinds[i] is the index of the event's kind in EventKind, and memes[i] is
+    kinds[i] is the EventKind value of the event's kind, and memes[i] is
     negative for a RECRUIT, which carries no meme.
     """
-    names = [kind.value for kind in EventKind]
+    names = [kind.name for kind in EventKind]
     write = fh.write
     for tick, code, agent, meme in zip(ticks, kinds, agents, memes):
         path = "/" if meme < 0 else f"/m/{meme}"
@@ -97,7 +95,7 @@ def parse_line(line: str, lineno: int | None = None) -> EventRecord:
     if not kind_s or " " in kind_s:
         raise LogParseError(f"expected ' <event_kind>' after the request, got {tail!r}",
                             lineno, token=tail)
-    kind = _KIND_BY_NAME.get(kind_s)
+    kind = EventKind.__members__.get(kind_s)
     if kind is None:
         raise LogParseError(f"unknown event kind {kind_s!r}", lineno, token=kind_s)
 
@@ -128,7 +126,7 @@ def parse_line(line: str, lineno: int | None = None) -> EventRecord:
 def read_columns(path):
     """Yield the log at `path` as blocks of int64 columns
     (ticks, kinds, agents, memes), the inverse of write_lines: kinds are
-    indices into EventKind and memes are -1 for RECRUIT.
+    EventKind values and memes are -1 for RECRUIT.
 
     The file is read _BLOCK_BYTES at a time and cut after its last line end.
     A LogParseError names the first bad line with its line number in the
@@ -176,14 +174,14 @@ def _columns_of_valid_lines(block: bytes, valid: int):
     text = (block.replace(b' "GET /m/', b" ")
             .replace(b' "GET /"', b" -1")
             .replace(b'" ', b" "))
-    for code, kind in enumerate(EventKind):
-        text = text.replace(kind.value.encode(), b"%d" % code)
+    for kind in EventKind:
+        text = text.replace(kind.name.encode(), b"%d" % kind)
     # fromstring saturates a number above the int64 range at the maximum,
     # and reads a text of whitespace alone as one 0.
     values = (np.fromstring(text, dtype=np.int64, sep=" ") if valid
               else np.empty(0, dtype=np.int64)).reshape(valid, 4)
     ticks, agents, memes, kinds = values.T
-    recruit = kinds == _KINDS.index(EventKind.RECRUIT)
+    recruit = kinds == EventKind.RECRUIT
     if np.any((memes < 0) != recruit) or np.any(values == _INT64_MAX):
         return None
     return ticks, kinds, agents, memes
@@ -199,7 +197,7 @@ def _parse_block_by_line(block: bytes, lines_before: int):
         if text.strip() == "":
             continue
         record = parse_line(text, lineno)
-        rows.append((record.tick, _KINDS.index(record.kind), record.agent_id,
+        rows.append((record.tick, record.kind, record.agent_id,
                      -1 if record.meme_id is None else record.meme_id))
     ticks, kinds, agents, memes = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     return ticks, kinds, agents, memes
@@ -230,7 +228,7 @@ class HitSummary:
             "median_hits": self.median_hits,
             "fraction_below_2": self.fraction_below_2,
             "bin_width_ticks": self.bin_width_ticks,
-            "counted_kinds": [EventKind.EXPOSE.value],
+            "counted_kinds": [EventKind.EXPOSE.name],
         }
 
 
@@ -263,13 +261,11 @@ def aggregate_hits(blocks, bin_width_ticks: int = 1) -> HitSummary:
     """
     if bin_width_ticks < 1:
         raise InputError(f"bin width must be >= 1, got {bin_width_ticks}")
-    expose = _KINDS.index(EventKind.EXPOSE)
-    create = _KINDS.index(EventKind.CREATE)
     empty = np.empty(0, dtype=np.int64)
     per_meme, bins = (empty, empty), (empty, empty)
     for ticks, kinds, _, memes in blocks:
-        hit = kinds == expose
-        seen = hit | (kinds == create)
+        hit = kinds == EventKind.EXPOSE
+        seen = hit | (kinds == EventKind.CREATE)
         per_meme = _add_counts(per_meme, memes[seen], hit[seen])
         if bin_width_ticks > _INT64_MAX:      # one bin from 0 holds every tick
             starts = np.zeros(np.count_nonzero(hit), dtype=np.int64)

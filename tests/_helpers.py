@@ -24,7 +24,7 @@ from memesim.core import (
     _to_normal,
     substream_seed,
 )
-from memesim.engine import _KIND_CODE, UniformGrid, init_world, walk_step
+from memesim.engine import UniformGrid, init_world, walk_step
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +156,15 @@ def emit_line(record: EventRecord) -> str:
         path = "/"
     else:
         if record.meme_id is None or record.meme_id < 0:
-            raise InputError(f"{record.kind.value} records need a non-negative meme_id")
+            raise InputError(f"{record.kind.name} records need a non-negative meme_id")
         path = f"/m/{record.meme_id}"
-    return f'{record.tick} {record.agent_id} "GET {path}" {record.kind.value}\n'
+    return f'{record.tick} {record.agent_id} "GET {path}" {record.kind.name}\n'
 
 
 def write_records(fh, records):
     """Write records through logio.write_lines, the package's one serializer."""
     logio.write_lines(fh, [r.tick for r in records],
-                      [_KIND_CODE[r.kind] for r in records],
+                      [r.kind for r in records],
                       [r.agent_id for r in records],
                       [-1 if r.meme_id is None else r.meme_id for r in records])
 
@@ -173,7 +173,7 @@ def columns_of(records):
     """One block of int64 columns (ticks, kinds, agents, memes), as
     logio.read_columns yields them, holding `records`."""
     return (np.array([r.tick for r in records], dtype=np.int64),
-            np.array([_KIND_CODE[r.kind] for r in records], dtype=np.int64),
+            np.array([r.kind for r in records], dtype=np.int64),
             np.array([r.agent_id for r in records], dtype=np.int64),
             np.array([-1 if r.meme_id is None else r.meme_id for r in records],
                      dtype=np.int64))
@@ -181,8 +181,7 @@ def columns_of(records):
 
 def records_of(blocks):
     """The records held by column blocks."""
-    kinds = list(EventKind)
-    return [EventRecord(int(t), kinds[k], int(a), None if m < 0 else int(m))
+    return [EventRecord(int(t), EventKind(k), int(a), None if m < 0 else int(m))
             for block in blocks for t, k, a, m in zip(*block)]
 
 
@@ -283,7 +282,7 @@ def check_event_log(records, horizon=None):
         if rec.kind is EventKind.RECRUIT:
             assert rec.meme_id is None
             continue
-        assert rec.meme_id is not None, f"event {i}: {rec.kind} without meme"
+        assert rec.meme_id is not None, f"event {i}: {rec.kind.name} without meme"
 
         if rec.kind is EventKind.CREATE:
             assert rec.meme_id not in created, f"event {i}: duplicate CREATE"

@@ -98,6 +98,17 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     assert "recruits" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_config_not_utf8_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"population": 300, "output_dir": "\xff"}')
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:") and "<document>" in err
+    assert not out.exists()
+
+
 def test_simulate_unknown_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL, typo_key=1))
     assert main(["simulate", "--config", str(cfg),
@@ -190,9 +201,15 @@ def test_sweep_without_sweep_section_exits_2(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
-def test_sweep_rejects_unknown_axis(tmp_path):
-    cfg = write_config(tmp_path, _sweep_doc({"bogus": [1]}, 1))
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+def test_sweep_rejects_unknown_axis(tmp_path, capsys):
+    # Replicate seeds derive from the base master_seed, so a master_seed
+    # axis would be silently overwritten.
+    for name in ("bogus", "master_seed"):
+        cfg = write_config(tmp_path, _sweep_doc({name: [1, 2]}, 1))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"sweep.axes.{name}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_rejects_invalid_point(tmp_path):
@@ -355,18 +372,22 @@ def test_analyze_comparison_panel(tmp_path):
 
 
 @pytest.mark.parametrize("rows,lineno", [
-    ("0,1,2\n1,1,3\n\n", 4),
-    ("0,1,2\n1,1,x\n", 3),
-], ids=["trailing-blank-line", "non-integer-cell"])
+    (b"0,1,2\n1,1,3\n\n", 4),
+    (b"0,1,2\n1,1,x\n", 3),
+    (b"0,1,2\n1,1,\xff\n", 3),
+    ("0,1,2\n1,1,\u0663\n".encode(), 3),
+], ids=["trailing-blank-line", "non-integer-cell", "undecodable-byte",
+        "non-ascii-digit"])
 def test_analyze_malformed_sim_timeseries_exits_4(tmp_path, capsys, rows, lineno):
     series = tmp_path / "timeseries.csv"
-    series.write_text("tick,currently_infected,cumulative_exposures\n" + rows)
+    series.write_bytes(b"tick,currently_infected,cumulative_exposures\n" + rows)
+    out = tmp_path / "o"
     assert main(["analyze", "--log", str(FIXTURES / "tiny.log"),
-                 "--out", str(tmp_path / "o"),
-                 "--sim-timeseries", str(series)]) == 4
+                 "--out", str(out), "--sim-timeseries", str(series)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("input-error") and str(series) in err
     assert f"line {lineno}" in err
+    assert list(out.glob("*")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,14 @@ def test_file_round_trip(tmp_path):
     assert raw.endswith(b"\n") and b"\r" not in raw
 
 
+def test_kind_codes_are_pinned():
+    # read_columns hands these codes to callers, so reordering EventKind
+    # would change its public output.
+    assert [(k.name, int(k)) for k in EventKind] == [
+        ("RECRUIT", 0), ("CREATE", 1), ("SHARE", 2),
+        ("EXPOSE", 3), ("INFECT", 4), ("RECOVER", 5)]
+
+
 def test_read_log_reports_undecodable_byte(tmp_path):
     path = tmp_path / "events.log"
     path.write_bytes(b'0 1 "GET /" RECRUIT\n\xff 1 "GET /m/0" EXPOSE\n')
