@@ -261,14 +261,16 @@ def _read_timeseries_csv(path):
         if header != "tick,currently_infected,cumulative_exposures":
             raise InputError(f"{path}: not a simulation timeseries CSV")
         for lineno, line in enumerate(fh, start=2):
-            try:
-                if not line.isascii():  # int accepts non-ASCII digits such as '٣'
-                    raise ValueError(line)
-                t, _, c = line.strip().split(",")
-                tick, exposures = int(t), int(c)
-            except ValueError:
+            cells = line.rstrip("\r\n").split(",")
+            # Digits as simulate writes them: int() also takes signs, spaces,
+            # '_' separators and non-ASCII digits such as '٣'.
+            if len(cells) != 3 or not all(c.isascii() and c.isdigit() for c in cells):
                 raise InputError(f"{path}: line {lineno}: expected three integer"
-                                 f" cells, got {line.strip()!r}") from None
+                                 f" cells, got {line.strip()!r}")
+            tick, exposures = int(cells[0]), int(cells[2])
+            if ticks and (tick <= ticks[-1] or exposures < cum[-1]):
+                raise InputError(f"{path}: line {lineno}: ticks must increase and"
+                                 " cumulative exposures must not decrease")
             ticks.append(tick)
             cum.append(exposures)
     return ticks, cum

@@ -207,8 +207,6 @@ def perception_noise_batch(
     meme_ids[i]): the same agent always perceives the same meme
     identically, and different agents disagree.
     """
-    if noise_sd == 0.0:
-        return np.zeros((len(perception_seeds), 3))
     keys = _substream_seeds_u64(
         perception_seeds.astype(np.uint64), meme_ids.astype(np.uint64)
     )

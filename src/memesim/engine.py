@@ -221,11 +221,12 @@ class UniformGrid:
         cy = np.minimum((ys / self.cell_h).astype(np.int64), self.ncy - 1)
         return cx * self.ncy + cy
 
-    def query_many(self, qx, qy, exclude=None):
+    def query_many(self, qx, qy, exclude):
         """Neighbors of many points at once, as CSR arrays (ptr, ids).
 
         ids[ptr[i]:ptr[i + 1]] are the sorted ids of agents within `radius`
-        of (qx[i], qy[i]), minus exclude[i] (entries < 0 exclude nothing).
+        of (qx[i], qy[i]), minus exclude[i]; pass an entry < 0 to exclude
+        nothing.
         """
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
@@ -248,8 +249,7 @@ class UniformGrid:
         dy = np.abs(self.ys[cand] - qy[owner])
         dy = np.minimum(dy, self.height - dy)
         hit = np.sqrt(dx * dx + dy * dy) <= self.radius
-        if exclude is not None:
-            hit &= cand != np.asarray(exclude, dtype=np.int64)[owner]
+        hit &= cand != np.asarray(exclude, dtype=np.int64)[owner]
         # Sorting (query, id) keys groups rows and sorts ids within each.
         n = len(self.xs)
         keyed = np.sort(owner[hit] * n + cand[hit])
@@ -272,8 +272,8 @@ class WorldState:
 
     __slots__ = ("config", "tick", "xs", "ys", "recruited", "recruited_count",
                  "perception_seeds", "meme_latents", "meme_count",
-                 "keys", "expiry", "probs", "hits", "cumulative_exposures",
-                 "events", "placement", "walk", "meme_content", "decisions",
+                 "keys", "expiry", "probs", "hits", "events",
+                 "placement", "walk", "meme_content", "decisions",
                  "infected_series", "exposure_series")
 
     def __init__(self, config: SimConfig):
@@ -299,16 +299,9 @@ class WorldState:
         self.expiry = np.empty(0, dtype=np.int64)
         self.probs = np.empty(0, dtype=np.float64)
         self.hits = np.zeros(config.max_memes, dtype=np.int64)
-        self.cumulative_exposures = 0
         self.events = EventLog()
         self.infected_series = []
         self.exposure_series = []
-
-    # -- views -------------------------------------------------------------
-
-    def grid(self) -> UniformGrid:
-        return UniformGrid(self.xs, self.ys, self.config.world_width,
-                           self.config.world_height, self.config.neighbor_radius)
 
     # -- internals ----------------------------------------------------------
 
@@ -422,17 +415,15 @@ def share_step(world: WorldState) -> WorldState:
     if not shared.any():
         return world
 
-    # One neighbor query per distinct sharer; exposures in emission order.
+    # One neighbor query per sharing pair, in key order, so the query's
+    # rows are already the exposures in emission order.
     sharers, memes = np.divmod(keys[shared], m)
-    distinct, row = np.unique(sharers, return_inverse=True)
-    ptr, ids = world.grid().query_many(world.xs[distinct], world.ys[distinct],
-                                       distinct)
-    degree = np.diff(ptr)[row]
-    first = np.cumsum(degree) - degree
-    n_pairs, n_exp = len(sharers), int(degree.sum())
-    pair_of = np.repeat(np.arange(n_pairs), degree)
-    exposed = ids[np.arange(n_exp) + np.repeat(ptr[row] - first, degree)]
-    exp_memes = memes[pair_of]
+    grid = UniformGrid(world.xs, world.ys, cfg.world_width, cfg.world_height,
+                       cfg.neighbor_radius)
+    ptr, exposed = grid.query_many(world.xs[sharers], world.ys[sharers], sharers)
+    first = ptr[:-1]
+    n_pairs, n_exp = len(sharers), len(exposed)
+    exp_memes = np.repeat(memes, np.diff(ptr))
 
     exposed_keys, first_exposure = np.unique(exposed * m + exp_memes,
                                              return_index=True)
@@ -452,7 +443,6 @@ def share_step(world: WorldState) -> WorldState:
     event_memes = np.insert(exp_memes, slots, np.concatenate([exp_memes[infect], memes]))
     world.events.extend(world.tick, kinds, agents, event_memes)
     world.hits += np.bincount(exp_memes, minlength=m)
-    world.cumulative_exposures += n_exp
 
     if cfg.reinfection_resets_timer:
         world.expiry[at[known]] = world.tick + cfg.infection_duration_ticks
@@ -484,7 +474,7 @@ def step(world: WorldState) -> WorldState:
     share_step(world)
     recovery_step(world)
     world.infected_series.append(len(world.keys))
-    world.exposure_series.append(world.cumulative_exposures)
+    world.exposure_series.append(int(world.hits.sum()))
     world.tick += 1
     return world
 
@@ -497,7 +487,6 @@ def step(world: WorldState) -> WorldState:
 class SimOutput:
     """Everything a finished run produced."""
 
-    config: SimConfig
     currently_infected: np.ndarray
     cumulative_exposures: np.ndarray
     per_meme_hits: dict
@@ -533,7 +522,6 @@ def run(config: SimConfig) -> SimOutput:
     for _ in range(config.horizon_ticks):
         step(world)
     return SimOutput(
-        config=config,
         currently_infected=np.asarray(world.infected_series, dtype=np.int64),
         cumulative_exposures=np.asarray(world.exposure_series, dtype=np.int64),
         per_meme_hits={mid: int(world.hits[mid]) for mid in range(world.meme_count)},

@@ -59,10 +59,6 @@ class DesignMatrix:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.features.shape[1]
-
     def with_intercept(self) -> np.ndarray:
         return np.column_stack([np.ones(self.n), self.features])
 

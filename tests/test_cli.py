@@ -376,8 +376,15 @@ def test_analyze_comparison_panel(tmp_path):
     (b"0,1,2\n1,1,x\n", 3),
     (b"0,1,2\n1,1,\xff\n", 3),
     ("0,1,2\n1,1,\u0663\n".encode(), 3),
+    (b"0,1,1_0\n", 2),
+    (b"0,1,+2\n", 2),
+    (b"0,1, 3\n", 2),
+    (b"0,x,2\n", 2),
+    (b"0,1,10\n1,1,2\n", 3),
+    (b"0,1,2\n1,1,3\n1,1,4\n", 4),
 ], ids=["trailing-blank-line", "non-integer-cell", "undecodable-byte",
-        "non-ascii-digit"])
+        "non-ascii-digit", "digit-separator", "signed-cell", "spaced-cell",
+        "non-integer-middle-cell", "falling-cumulative", "repeated-tick"])
 def test_analyze_malformed_sim_timeseries_exits_4(tmp_path, capsys, rows, lineno):
     series = tmp_path / "timeseries.csv"
     series.write_bytes(b"tick,currently_infected,cumulative_exposures\n" + rows)

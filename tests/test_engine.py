@@ -443,14 +443,14 @@ def test_engine_probability_cache_matches_contract_path():
 
 
 def differential_configs():
-    """Twenty small worlds for the scalar-reference comparison.
+    """Twenty-one small worlds for the scalar-reference comparison.
 
     Intercepts span -6 (almost no sharing) to +2 (almost always), timer
     resets alternate, and every third world has a radius near the world
     span (fewer than three grid cells per axis) or a step near the span.
     Three more worlds step between one and three times the larger span,
-    so the walk wraps through np.mod, and the last recruits its whole
-    population in one tick.
+    so the walk wraps through np.mod, one recruits its whole population
+    in one tick, and the last perceives memes without noise.
     """
     rng = np.random.default_rng(4242)
     intercepts = rng.permutation(np.linspace(-6.0, 2.0, 16))
@@ -494,6 +494,14 @@ def differential_configs():
                     world_width=9.0, world_height=7.0, neighbor_radius=1.5,
                     infection_duration_ticks=3,
                     sharing_model=SharingModel(-2.0, 0.5, 0.5, 0.25),
+                    master_seed=int(rng.integers(0, 2**63)))
+    # Its own generator, so the worlds above keep their draws.
+    rng = np.random.default_rng(4444)
+    yield SimConfig(population=40, recruits=4, recruit_interval_ticks=2,
+                    horizon_ticks=30, world_width=10.0, world_height=8.0,
+                    neighbor_radius=2.0, infection_duration_ticks=4,
+                    perception_noise_sd=0.0,
+                    sharing_model=SharingModel(-1.0, 0.5, 0.5, 0.25),
                     master_seed=int(rng.integers(0, 2**63)))
 
 
@@ -573,7 +581,7 @@ def test_query_many_matches_bruteforce():
 
         # Without exclusion a query point at an agent finds the agent too.
         sub = rng.integers(0, n, size=int(rng.integers(1, 10)))
-        ptr, ids = grid.query_many(xs[sub], ys[sub])
+        ptr, ids = grid.query_many(xs[sub], ys[sub], np.full(len(sub), -1))
         for row, i in enumerate(sub):
             assert np.array_equal(ids[ptr[row]:ptr[row + 1]],
                                   np.union1d(want[i], [i]))
