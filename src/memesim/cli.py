@@ -20,10 +20,11 @@ from .decision import SharingModel
 from .engine import SimConfig
 from .plot import Panel, render_time_series_svg
 
-_MODEL_KEYS = ("intercept", "w_humor", "w_relevance", "w_selfref")
+_MODEL_KEYS = tuple(f.name for f in dataclass_fields(SharingModel))
 _SIM_KEYS = {f.name for f in dataclass_fields(SimConfig)}
 _TOP_KEYS = _SIM_KEYS | {"sweep", "output_dir"}
 _SWEEP_KEYS = {"axes", "replicates"}
+_SUMMARY_BIN_WIDTH = 10  # summary.json records it; simulate and sweep bin nothing
 
 
 @dataclass
@@ -77,14 +78,7 @@ def load_run_config(path):
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}",
                                  fields=unknown)
 
-    overrides = {}
-    for key in _SIM_KEYS & set(doc):
-        if key == "sharing_model":
-            overrides[key] = _build_sharing_model(doc[key],
-                                                  engine.DEFAULT_SHARING_MODEL)
-        else:
-            overrides[key] = doc[key]
-    config = SimConfig(**overrides)
+    config = _apply_point(SimConfig(), {k: v for k, v in doc.items() if k in _SIM_KEYS})
     config.ensure_valid()
 
     sweep = None
@@ -145,7 +139,9 @@ def _apply_point(config: SimConfig, point: dict) -> SimConfig:
     overrides = {}
     model_patch = {}
     for name, value in point.items():
-        if name.startswith("sharing_model."):
+        if name == "sharing_model":
+            overrides[name] = _build_sharing_model(value, config.sharing_model)
+        elif name.startswith("sharing_model."):
             model_patch[name.split(".", 1)[1]] = value
         else:
             overrides[name] = value
@@ -168,7 +164,7 @@ def cmd_simulate(config_path, out_dir, seed_override=None) -> int:
 
     output = engine.run(config)
     summary = logio.summary_from_counts(output.per_meme_hits, {},
-                                        config.analysis_bin_width)
+                                        _SUMMARY_BIN_WIDTH)
 
     output.write_event_log(out / "events.log")
     output.write_timeseries_csv(out / "timeseries.csv")
@@ -203,7 +199,7 @@ def cmd_sweep(config_path, out_dir) -> int:
                               master_seed=seeds[replicate])
             output = engine.run(run_cfg)
             summary = logio.summary_from_counts(output.per_meme_hits, {},
-                                                run_cfg.analysis_bin_width)
+                                                _SUMMARY_BIN_WIDTH)
             final = int(output.cumulative_exposures[-1]) \
                 if len(output.cumulative_exposures) else 0
             rows.append(
@@ -263,10 +259,14 @@ def _read_timeseries_csv(path):
         for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\r\n").split(",")
             # Digits as simulate writes them: int() also takes signs, spaces,
-            # '_' separators and non-ASCII digits such as '٣'.
-            if len(cells) != 3 or not all(c.isascii() and c.isdigit() for c in cells):
+            # '_' separators and non-ASCII digits such as '٣'.  simulate writes
+            # int64: a cell has at most 19 digits (checked before int(), which
+            # refuses over 4,300) and is below 2**63.
+            if (len(cells) != 3
+                    or not all(c.isascii() and c.isdigit() and len(c) <= 19 for c in cells)
+                    or max(int(c) for c in cells) >= 2 ** 63):
                 raise InputError(f"{path}: line {lineno}: expected three integer"
-                                 f" cells, got {line.strip()!r}")
+                                 f" cells below 2**63, got {line.strip()!r}")
             tick, exposures = int(cells[0]), int(cells[2])
             if ticks and (tick <= ticks[-1] or exposures < cum[-1]):
                 raise InputError(f"{path}: line {lineno}: ticks must increase and"

@@ -9,7 +9,7 @@ fitted with `memesim fit --model ols`; it needs no type of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class SharingModel:
     w_selfref: float
 
     def __post_init__(self):
-        for name in ("intercept", "w_humor", "w_relevance", "w_selfref"):
+        for name in (f.name for f in fields(self)):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"sharing-model coefficient {name} must be finite")
 

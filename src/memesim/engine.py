@@ -61,12 +61,9 @@ class SimConfig:
     neighbor_radius: float = 3.0
     infection_duration_ticks: int = 10
     perception_noise_sd: float = 0.5
-    meme_dim: int = 3
     sharing_model: SharingModel = DEFAULT_SHARING_MODEL
     master_seed: int = 42
     reinfection_resets_timer: bool = True
-    require_full_recruitment: bool = False
-    analysis_bin_width: int = 10
 
     def validate(self) -> list:
         """Return (field, reason) for every violated invariant; empty if valid."""
@@ -103,23 +100,12 @@ class SimConfig:
               "infection_duration_ticks", "must be a positive integer")
         check(_is_real(self.perception_noise_sd) and self.perception_noise_sd >= 0,
               "perception_noise_sd", "must be a non-negative real")
-        check(_is_int(self.meme_dim) and self.meme_dim >= 3,
-              "meme_dim", "must be an integer >= 3 (first three components feed the model)")
         check(isinstance(self.sharing_model, SharingModel), "sharing_model",
               "must be a SharingModel")
         check(_is_int(self.master_seed) and 0 <= self.master_seed < 2 ** 64,
               "master_seed", "must be an unsigned 64-bit integer")
         check(isinstance(self.reinfection_resets_timer, bool),
               "reinfection_resets_timer", "must be a boolean")
-        check(isinstance(self.require_full_recruitment, bool),
-              "require_full_recruitment", "must be a boolean")
-        check(_is_int(self.analysis_bin_width) and self.analysis_bin_width >= 1,
-              "analysis_bin_width", "must be a positive integer")
-        if (self.require_full_recruitment is True and _is_int(self.horizon_ticks)
-                and _is_int(self.recruits) and _is_int(self.recruit_interval_ticks)):
-            check(self.horizon_ticks >= self.recruits * self.recruit_interval_ticks,
-                  "horizon_ticks",
-                  "must cover recruits * recruit_interval_ticks when full recruitment is required")
         return bad
 
     def ensure_valid(self):
@@ -270,7 +256,7 @@ class UniformGrid:
 class WorldState:
     """Mutable state of a running simulation; built by init_world."""
 
-    __slots__ = ("config", "tick", "xs", "ys", "recruited", "recruited_count",
+    __slots__ = ("config", "tick", "xs", "ys", "recruited",
                  "perception_seeds", "meme_latents", "meme_count",
                  "keys", "expiry", "probs", "hits", "events",
                  "placement", "walk", "meme_content", "decisions",
@@ -292,8 +278,8 @@ class WorldState:
         self.perception_seeds = perception.raw(n)
 
         self.recruited = np.zeros(n, dtype=bool)
-        self.recruited_count = 0
-        self.meme_latents = np.zeros((config.max_memes, config.meme_dim))
+        # One latent per perceived feature: humor, self-relevance, self-reference.
+        self.meme_latents = np.zeros((config.max_memes, 3))
         self.meme_count = 0
         self.keys = np.empty(0, dtype=np.int64)
         self.expiry = np.empty(0, dtype=np.int64)
@@ -318,14 +304,13 @@ class WorldState:
     def _share_probs(self, agents: np.ndarray, meme_ids: np.ndarray) -> np.ndarray:
         """Vectorized share probabilities for (agent, meme) pairs.
 
-        Features are the first three latent components plus perception
-        noise; the logit intercept + w . features is accumulated left to
-        right.
+        Features are the three latent components plus perception noise;
+        the logit intercept + w . features is accumulated left to right.
         """
         model = self.config.sharing_model
         noise = perception_noise_batch(self.perception_seeds[agents], meme_ids,
                                        self.config.perception_noise_sd)
-        feats = self.meme_latents[meme_ids, :3] + noise
+        feats = self.meme_latents[meme_ids] + noise
         z = model.intercept + model.w_humor * feats[:, 0]
         z = z + model.w_relevance * feats[:, 1]
         z = z + model.w_selfref * feats[:, 2]
@@ -346,7 +331,8 @@ def recruit_step(world: WorldState) -> WorldState:
     No-op off cadence or once the quota is reached.
     """
     cfg = world.config
-    k = min(cfg.recruit_batch_size, cfg.recruits - world.recruited_count)
+    k = min(cfg.recruit_batch_size,
+            cfg.recruits - world.meme_count // cfg.memes_per_recruit)
     if world.tick % cfg.recruit_interval_ticks != 0 or k <= 0:
         return world
     # Recruit i takes index floor(u_i * size) of the ascending pool that
@@ -360,12 +346,11 @@ def recruit_step(world: WorldState) -> WorldState:
         recruits[i] = pool[j]
         pool[j:-1] = pool[j + 1:]
     world.recruited[recruits] = True
-    world.recruited_count += k
 
     first, n_memes = world.meme_count, k * cfg.memes_per_recruit
     mids = np.arange(first, first + n_memes).reshape(k, cfg.memes_per_recruit)
     world.meme_latents[first:first + n_memes] = world.meme_content.normals(
-        n_memes * cfg.meme_dim).reshape(n_memes, cfg.meme_dim)
+        n_memes * 3).reshape(n_memes, 3)
     world.meme_count += n_memes
     # Per recruit: RECRUIT, then CREATE and INFECT for each of its memes.
     kinds = np.tile([EventKind.RECRUIT]

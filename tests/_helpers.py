@@ -355,16 +355,15 @@ class ReferenceRun:
         if world.tick % cfg.recruit_interval_ticks != 0:
             return
         for _ in range(cfg.recruit_batch_size):
-            if world.recruited_count >= cfg.recruits:
+            if world.meme_count >= cfg.max_memes:
                 break
             pool = np.flatnonzero(~world.recruited)
             agent = int(pool[randbelow(world.placement, len(pool))])
             world.recruited[agent] = True
-            world.recruited_count += 1
             self.log(EventKind.RECRUIT, agent)
             for _ in range(cfg.memes_per_recruit):
                 mid = world.meme_count
-                world.meme_latents[mid] = world.meme_content.normals(cfg.meme_dim)
+                world.meme_latents[mid] = world.meme_content.normals(3)
                 world.meme_count += 1
                 self.log(EventKind.CREATE, agent, mid)
                 self.log(EventKind.INFECT, agent, mid)

@@ -109,11 +109,18 @@ def test_config_not_utf8_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_simulate_unknown_key_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, dict(SMALL, typo_key=1))
+# A typo, and former SimConfig fields at values they accepted: the key alone is the error.
+@pytest.mark.parametrize("key, value", [
+    ("typo_key", 1),
+    ("meme_dim", 3),
+    ("require_full_recruitment", False),
+    ("analysis_bin_width", 10),
+], ids=["typo_key", "meme_dim", "require_full_recruitment", "analysis_bin_width"])
+def test_simulate_unknown_key_exits_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, dict(SMALL, **{key: value}))
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "typo_key" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_simulate_unknown_model_key_exits_2(tmp_path, capsys):
@@ -123,6 +130,14 @@ def test_simulate_unknown_model_key_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
     assert "sharing_model.w_bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [[], 0, "x", None])
+def test_simulate_non_object_model_exits_2(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, dict(SMALL, sharing_model=model))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "sharing_model must be an object" in capsys.readouterr().err
 
 
 def test_simulate_missing_config_exits_3(tmp_path):
@@ -382,9 +397,13 @@ def test_analyze_comparison_panel(tmp_path):
     (b"0,x,2\n", 2),
     (b"0,1,10\n1,1,2\n", 3),
     (b"0,1,2\n1,1,3\n1,1,4\n", 4),
+    (b"0,1,2\n1,1," + b"9" * 400 + b"\n", 3),
+    (b"0,1,2\n" + b"9" * 5000 + b",1,3\n", 3),
+    (b"0,1,2\n1,1,9223372036854775808\n", 3),
 ], ids=["trailing-blank-line", "non-integer-cell", "undecodable-byte",
         "non-ascii-digit", "digit-separator", "signed-cell", "spaced-cell",
-        "non-integer-middle-cell", "falling-cumulative", "repeated-tick"])
+        "non-integer-middle-cell", "falling-cumulative", "repeated-tick",
+        "400-digit-cumulative", "5000-digit-tick", "int64-overflow"])
 def test_analyze_malformed_sim_timeseries_exits_4(tmp_path, capsys, rows, lineno):
     series = tmp_path / "timeseries.csv"
     series.write_bytes(b"tick,currently_infected,cumulative_exposures\n" + rows)

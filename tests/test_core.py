@@ -111,21 +111,17 @@ def test_uniforms_in_unit_interval():
 
 def test_meme_vector_shape_and_determinism():
     # Recruits write fresh meme-content normals straight into meme_latents,
-    # one row of meme_dim draws per meme in creation order: the batch of a
+    # one row of three draws per meme in creation order: the batch of a
     # tick equals one draw per meme.
     cfg = SimConfig(population=40, recruits=4, memes_per_recruit=2,
-                    recruit_batch_size=4, meme_dim=5, master_seed=4)
+                    recruit_batch_size=4, master_seed=4)
     world = recruit_step(init_world(cfg))
-    assert world.meme_count == 8 and world.meme_latents.shape == (8, 5)
+    assert world.meme_count == 8 and world.meme_latents.shape == (8, 3)
     stream = RngStream(4, StreamLabel.MEME_CONTENT)
-    expected = np.array([stream.normals(5) for _ in range(8)])
+    expected = np.array([stream.normals(3) for _ in range(8)])
     assert np.array_equal(world.meme_latents, expected)
     again = recruit_step(init_world(cfg))
     assert np.array_equal(world.meme_latents, again.meme_latents)
-
-
-def test_meme_vector_rejects_zero_dim():
-    assert "meme_dim" in dict(SimConfig(meme_dim=0).validate())
 
 
 def test_meme_component_means():
@@ -271,11 +267,6 @@ def test_perceive_deterministic_per_agent_meme():
     noise = perception_noise_batch(seeds, np.array([3, 3, 3]), 0.5)
     assert np.array_equal(noise[0], noise[1])
     assert not np.array_equal(noise[0], noise[2])  # another agent disagrees
-
-
-def test_perceive_rejects_short_meme():
-    # The first three meme components feed the sharing model.
-    assert "meme_dim" in dict(SimConfig(meme_dim=2).validate())
 
 
 def test_perception_noise_sd():

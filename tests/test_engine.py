@@ -68,13 +68,6 @@ def test_validation_lists_every_violated_field():
     assert {"population", "neighbor_radius", "horizon_ticks"} <= fields
 
 
-def test_full_recruitment_flag():
-    cfg = SimConfig(population=50, recruits=10, recruit_interval_ticks=4,
-                    horizon_ticks=20, require_full_recruitment=True)
-    assert any(name == "horizon_ticks" for name, _ in cfg.validate())
-    assert replace(cfg, horizon_ticks=40).validate() == []
-
-
 # ---------------------------------------------------------------------------
 # init_world
 # ---------------------------------------------------------------------------
@@ -82,7 +75,7 @@ def test_full_recruitment_flag():
 def test_init_default_world():
     world = init_world(SimConfig())
     assert len(world.xs) == 15000
-    assert world.recruited_count == 0
+    assert not world.recruited.any()
     assert world.meme_count == 0
     assert len(world.keys) == len(world.expiry) == len(world.probs) == 0
     assert np.all((world.xs >= 0) & (world.xs < 200.0))
@@ -111,7 +104,7 @@ def test_recruit_cadence_and_quota():
     seen = []
     for _ in range(cfg.horizon_ticks):
         recruit_step(world)
-        seen.append(world.recruited_count)
+        seen.append(int(world.recruited.sum()))
         world.tick += 1
     # One per eligible tick (0, 4, 8, ...) until the quota of 6.
     assert seen[0] == 1 and seen[3] == 1 and seen[4] == 2
@@ -125,7 +118,7 @@ def test_recruit_off_cadence_is_noop():
     world = init_world(small_config())
     world.tick = 3
     recruit_step(world)
-    assert world.recruited_count == 0
+    assert not world.recruited.any()
 
 
 def test_recruit_batch_size_session_reading():
