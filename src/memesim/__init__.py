@@ -13,7 +13,6 @@ from .core import (
 from .decision import DEFAULT_SHARING_MODEL, SharingModel
 from .engine import SimConfig, SimOutput, WorldState, init_world, run
 from .logio import (
-    HitSummary,
     LogParseError,
     aggregate_hits,
     parse_line,

@@ -163,13 +163,11 @@ def cmd_simulate(config_path, out_dir, seed_override=None) -> int:
     out = _resolve_out_dir(out_dir, cfg_out)
 
     output = engine.run(config)
-    summary = logio.summary_from_counts(output.per_meme_hits, {},
-                                        _SUMMARY_BIN_WIDTH)
-
     output.write_event_log(out / "events.log")
     output.write_timeseries_csv(out / "timeseries.csv")
     output.write_hits_csv(out / "hits.csv")
-    logio.write_summary_json(summary, out / "summary.json")
+    logio.write_summary_json(logio.hit_summary(output.hits[1], _SUMMARY_BIN_WIDTH),
+                             out / "summary.json")
 
     ticks = list(range(len(output.cumulative_exposures)))
     svg = render_time_series_svg([
@@ -197,21 +195,17 @@ def cmd_sweep(config_path, out_dir) -> int:
         for replicate in range(sweep.replicates):
             run_cfg = replace(_apply_point(config, point),
                               master_seed=seeds[replicate])
-            output = engine.run(run_cfg)
-            summary = logio.summary_from_counts(output.per_meme_hits, {},
-                                                _SUMMARY_BIN_WIDTH)
-            final = int(output.cumulative_exposures[-1]) \
-                if len(output.cumulative_exposures) else 0
+            # The last cumulative exposure is total_hits, 0 at horizon 0.
+            summary = logio.hit_summary(engine.run(run_cfg).hits[1], _SUMMARY_BIN_WIDTH)
             rows.append(
                 [point[name] for name in axis_names]
-                + [seeds[replicate], final, summary.max_hits, summary.median_hits])
+                + [seeds[replicate], summary["total_hits"], summary["max_hits"],
+                   summary["median_hits"]])
 
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        fh.write(",".join(axis_names
-                          + ["seed", "final_cumulative_exposures",
-                             "max_hits", "median_hits"]) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    logio.write_csv(out / "sweep.csv",
+                    ",".join(axis_names + ["seed", "final_cumulative_exposures",
+                                           "max_hits", "median_hits"]) + "\n",
+                    rows)
     return 0
 
 
@@ -229,20 +223,19 @@ def cmd_fit(data_path, model: str, out_path) -> int:
 
 
 def cmd_analyze(log_path, bin_width, out_dir, sim_timeseries=None) -> int:
-    summary = logio.aggregate_hits(logio.read_columns(log_path),
-                                   bin_width_ticks=bin_width)
+    memes, bins = logio.aggregate_hits(logio.read_columns(log_path),
+                                       bin_width_ticks=bin_width)
     # Read before anything is written, so a bad series leaves no artifact.
     series = None if sim_timeseries is None else _read_timeseries_csv(sim_timeseries)
     out = _resolve_out_dir(out_dir, None)
-    logio.write_summary_json(summary, out / "summary.json")
-    logio.write_hits_csv(summary.per_meme, out / "hits.csv")
-    logio.write_bins_csv(summary.bins, out / "bins.csv")
+    logio.write_summary_json(logio.hit_summary(memes[1], bin_width),
+                             out / "summary.json")
+    logio.write_hits_csv(memes, out / "hits.csv")
+    logio.write_bins_csv(bins, out / "bins.csv")
     if series is not None:
         # Side-by-side comparison: analyzed log traffic next to a simulated
         # exposure curve.
-        starts = sorted(summary.bins)
-        left = Panel("Analyzed log: hits per bin", starts,
-                     [summary.bins[s] for s in starts],
+        left = Panel("Analyzed log: hits per bin", bins[0].tolist(), bins[1].tolist(),
                      x_label=f"tick (bin width {bin_width})", y_label="hits")
         right = Panel("Simulation: cumulative exposures", *series,
                       y_label="exposures")
@@ -265,8 +258,11 @@ def _read_timeseries_csv(path):
             if (len(cells) != 3
                     or not all(c.isascii() and c.isdigit() and len(c) <= 19 for c in cells)
                     or max(int(c) for c in cells) >= 2 ** 63):
+                text = line.strip()
+                # Echo a bounded prefix: a line can be any length.
+                shown = repr(text[:80]) + ("..." if len(text) > 80 else "")
                 raise InputError(f"{path}: line {lineno}: expected three integer"
-                                 f" cells below 2**63, got {line.strip()!r}")
+                                 f" cells below 2**63, got {shown}")
             tick, exposures = int(cells[0]), int(cells[2])
             if ticks and (tick <= ticks[-1] or exposures < cum[-1]):
                 raise InputError(f"{path}: line {lineno}: ticks must increase and"

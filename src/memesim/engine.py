@@ -474,7 +474,7 @@ class SimOutput:
 
     currently_infected: np.ndarray
     cumulative_exposures: np.ndarray
-    per_meme_hits: dict
+    hits: tuple     # (meme ids, int64 hit counts), as logio.aggregate_hits gives
     events: EventLog
 
     def event_records(self):
@@ -487,14 +487,14 @@ class SimOutput:
                               events.memes)
 
     def write_timeseries_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("tick,currently_infected,cumulative_exposures\n")
-            for t, (inf, exp) in enumerate(zip(self.currently_infected,
-                                               self.cumulative_exposures)):
-                fh.write(f"{t},{inf},{exp}\n")
+        # Flat rows: enumerate(zip(...)) would nest the pair in one cell.
+        logio.write_csv(path, "tick,currently_infected,cumulative_exposures\n",
+                        zip(range(len(self.currently_infected)),
+                            self.currently_infected.tolist(),
+                            self.cumulative_exposures.tolist()))
 
     def write_hits_csv(self, path):
-        logio.write_hits_csv(self.per_meme_hits, path)
+        logio.write_hits_csv(self.hits, path)
 
 
 def run(config: SimConfig) -> SimOutput:
@@ -509,6 +509,7 @@ def run(config: SimConfig) -> SimOutput:
     return SimOutput(
         currently_infected=np.asarray(world.infected_series, dtype=np.int64),
         cumulative_exposures=np.asarray(world.exposure_series, dtype=np.int64),
-        per_meme_hits={mid: int(world.hits[mid]) for mid in range(world.meme_count)},
+        hits=(np.arange(world.meme_count, dtype=np.int64),
+              world.hits[:world.meme_count]),
         events=world.events,
     )

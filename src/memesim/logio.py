@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-import statistics
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,51 +205,24 @@ def _parse_block_by_line(block: bytes, lines_before: int):
 # Aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HitSummary:
-    """Per-meme popularity statistics over one pass of a log."""
-
-    total_hits: int
-    meme_count: int
-    max_hits: int
-    median_hits: float
-    fraction_below_2: float
-    per_meme: dict
-    bins: dict
-    bin_width_ticks: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total_hits": self.total_hits,
-            "meme_count": self.meme_count,
-            "max_hits": self.max_hits,
-            "median_hits": self.median_hits,
-            "fraction_below_2": self.fraction_below_2,
-            "bin_width_ticks": self.bin_width_ticks,
-            "counted_kinds": [EventKind.EXPOSE.name],
-        }
+def hit_summary(hits, bin_width_ticks: int) -> dict:
+    """summary.json's fields for the int64 per-meme hit counts `hits`."""
+    n = len(hits)
+    return {
+        "total_hits": int(hits.sum()),
+        "meme_count": n,
+        "max_hits": int(hits.max(initial=0)),
+        "median_hits": float(np.median(hits)) if n else 0.0,
+        "fraction_below_2": np.count_nonzero(hits < 2) / n if n else 0.0,
+        "bin_width_ticks": bin_width_ticks,
+        "counted_kinds": [EventKind.EXPOSE.name],
+    }
 
 
-def summary_from_counts(per_meme: dict, bins: dict,
-                        bin_width_ticks: int) -> HitSummary:
-    """Build a HitSummary from already-aggregated tables (e.g. engine output)."""
-    counts = list(per_meme.values())
-    total = sum(counts)
-    return HitSummary(
-        total_hits=total,
-        meme_count=len(per_meme),
-        max_hits=max(counts) if counts else 0,
-        median_hits=float(statistics.median(counts)) if counts else 0.0,
-        fraction_below_2=(sum(1 for c in counts if c < 2) / len(counts))
-        if counts else 0.0,
-        per_meme=per_meme,
-        bins=bins,
-        bin_width_ticks=bin_width_ticks,
-    )
-
-
-def aggregate_hits(blocks, bin_width_ticks: int = 1) -> HitSummary:
-    """One pass over column blocks as read_columns yields them.
+def aggregate_hits(blocks, bin_width_ticks: int = 1):
+    """One pass over column blocks as read_columns yields them; returns the
+    hit tables (memes, bins), each a pair (sorted distinct keys, int64
+    counts).
 
     A hit is an EXPOSE record: one view of a meme.  The meme universe for
     the median and fraction statistics is every meme that shows up in a
@@ -272,9 +243,7 @@ def aggregate_hits(blocks, bin_width_ticks: int = 1) -> HitSummary:
         else:
             starts = ticks[hit] // bin_width_ticks * bin_width_ticks
         bins = _add_counts(bins, starts, np.ones(len(starts), dtype=np.int64))
-    return summary_from_counts(dict(zip(per_meme[0].tolist(), per_meme[1].tolist())),
-                               dict(zip(bins[0].tolist(), bins[1].tolist())),
-                               bin_width_ticks)
+    return per_meme, bins
 
 
 def _add_counts(table, keys, counts):
@@ -290,21 +259,23 @@ def _add_counts(table, keys, counts):
 # Writers
 # ---------------------------------------------------------------------------
 
-def write_summary_json(summary: HitSummary, path):
+def write_csv(path, header: str, rows):
+    """Write the LF-ended `header`, then each flat row as a comma-joined line."""
     with open(path, "w", newline="") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write(header)
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def write_summary_json(summary: dict, path):
+    with open(path, "w", newline="") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_hits_csv(per_meme: dict, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("meme_id,hits\n")
-        for meme_id in sorted(per_meme):
-            fh.write(f"{meme_id},{per_meme[meme_id]}\n")
+def write_hits_csv(table, path):
+    write_csv(path, "meme_id,hits\n", zip(*(column.tolist() for column in table)))
 
 
-def write_bins_csv(bins: dict, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_start_tick,hits\n")
-        for start in sorted(bins):
-            fh.write(f"{start},{bins[start]}\n")
+def write_bins_csv(table, path):
+    write_csv(path, "bin_start_tick,hits\n", zip(*(column.tolist() for column in table)))

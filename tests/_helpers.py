@@ -204,8 +204,15 @@ def read_log(path):
         yield from parse_lines(fh)
 
 
+def table_dict(table):
+    """A hit table (sorted keys, int64 counts) as a dict from key to count."""
+    keys, counts = table
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
 def aggregate_records(records, bin_width_ticks=1):
-    """HitSummary of records by dicts, one record at a time."""
+    """The hit tables (memes, bins) of records as dicts, one record at a
+    time."""
     per_meme = {}
     bins = {}
     for record in records:
@@ -218,7 +225,7 @@ def aggregate_records(records, bin_width_ticks=1):
             per_meme[meme_id] += 1
             bin_start = (record.tick // bin_width_ticks) * bin_width_ticks
             bins[bin_start] = bins.get(bin_start, 0) + 1
-    return logio.summary_from_counts(per_meme, bins, bin_width_ticks)
+    return per_meme, bins
 
 
 def load_design_csv(path):

@@ -21,6 +21,7 @@ from _helpers import (
     logistic_log_likelihood,
     neighbor_sets_bruteforce,
     records_of,
+    table_dict,
     write_records,
 )
 from memesim import logio
@@ -46,7 +47,7 @@ def default_battery():
         out = run(SimConfig(master_seed=seed))
         results.append({
             "seed": seed,
-            "hits": dict(out.per_meme_hits),
+            "hits": table_dict(out.hits),
             "cumulative": [int(v) for v in out.cumulative_exposures],
         })
     return results
@@ -207,10 +208,10 @@ def test_pipeline_closure(tmp_path):
     out = run(cfg)
     log_path = tmp_path / "events.log"
     out.write_event_log(log_path)
-    summary = logio.aggregate_hits(logio.read_columns(log_path))
+    memes, _ = logio.aggregate_hits(logio.read_columns(log_path))
     criterion("simulate -> analyze per-meme closure",
-              summary.per_meme == out.per_meme_hits,
-              f"({len(out.per_meme_hits)} memes, {len(out.events)} events)")
+              table_dict(memes) == table_dict(out.hits),
+              f"({len(out.hits[0])} memes, {len(out.events)} events)")
 
     # Write/parse round trip over 10,000 random records.
     rng = random.Random(777)

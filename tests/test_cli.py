@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import memesim
-from _helpers import records_of
+from _helpers import records_of, table_dict
 from memesim import logio
 from memesim.cli import main
 from memesim.engine import SimConfig, run
@@ -399,11 +399,13 @@ def test_analyze_comparison_panel(tmp_path):
     (b"0,1,2\n1,1,3\n1,1,4\n", 4),
     (b"0,1,2\n1,1," + b"9" * 400 + b"\n", 3),
     (b"0,1,2\n" + b"9" * 5000 + b",1,3\n", 3),
+    (b"0,1,2\n" + b"9" * 100_000 + b",1,3\n", 3),
     (b"0,1,2\n1,1,9223372036854775808\n", 3),
 ], ids=["trailing-blank-line", "non-integer-cell", "undecodable-byte",
         "non-ascii-digit", "digit-separator", "signed-cell", "spaced-cell",
         "non-integer-middle-cell", "falling-cumulative", "repeated-tick",
-        "400-digit-cumulative", "5000-digit-tick", "int64-overflow"])
+        "400-digit-cumulative", "5000-digit-tick", "100000-digit-tick",
+        "int64-overflow"])
 def test_analyze_malformed_sim_timeseries_exits_4(tmp_path, capsys, rows, lineno):
     series = tmp_path / "timeseries.csv"
     series.write_bytes(b"tick,currently_infected,cumulative_exposures\n" + rows)
@@ -413,6 +415,8 @@ def test_analyze_malformed_sim_timeseries_exits_4(tmp_path, capsys, rows, lineno
     err = capsys.readouterr().err
     assert err.startswith("input-error") and str(series) in err
     assert f"line {lineno}" in err
+    # The echo of the rejected line is cut, however long the line.
+    assert len(err.replace(str(series), "")) < 200
     assert list(out.glob("*")) == []
 
 
@@ -432,9 +436,9 @@ def test_pipeline_closure_simulate_then_analyze(tmp_path):
             == (sim_out / "hits.csv").read_bytes())
     cfg = SimConfig(**{k: v for k, v in SMALL.items() if k != "sharing_model"},
                     sharing_model=SharingModel(**SMALL["sharing_model"]))
-    in_memory = run(cfg).per_meme_hits
-    analyzed = logio.aggregate_hits(logio.read_columns(sim_out / "events.log"))
-    assert analyzed.per_meme == in_memory
+    in_memory = run(cfg).hits
+    memes, _ = logio.aggregate_hits(logio.read_columns(sim_out / "events.log"))
+    assert table_dict(memes) == table_dict(in_memory)
     assert ((an_out / "summary.json").read_bytes()
             == (sim_out / "summary.json").read_bytes())
 
@@ -470,6 +474,41 @@ def test_golden_micro_sweep(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
+
+
+def test_sweep_rows_match_simulate(tmp_path):
+    """Each micro-sweep row holds what simulate writes for its point and seed."""
+    doc = dict(MICRO, sweep={"axes": {"sharing_model.intercept": [-2.0, -1.0]},
+                             "replicates": 2})
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 2
+    for i, line in enumerate(lines[1:]):
+        intercept, seed, final, max_hits, median_hits = line.split(",")
+        point = dict(MICRO, sharing_model=dict(MICRO["sharing_model"],
+                                               intercept=float(intercept)))
+        out = tmp_path / f"sim{i}"
+        assert main(["simulate", "--config",
+                     str(write_config(tmp_path, point, f"point{i}.json")),
+                     "--seed", seed, "--out", str(out)]) == 0
+        series = (out / "timeseries.csv").read_text().splitlines()
+        assert final == series[-1].split(",")[2]
+        summary = json.loads((out / "summary.json").read_text())
+        assert int(max_hits) == summary["max_hits"]
+        assert float(median_hits) == summary["median_hits"]
+
+
+def test_golden_micro_analyze(tmp_path):
+    """Byte lock on what analyze writes for the golden micro-run's log and
+    series, at a bin width that gives four bins."""
+    out = tmp_path / "out"
+    assert main(["analyze", "--log", str(GOLDEN / "events.log"), "--bin", "3",
+                 "--sim-timeseries", str(GOLDEN / "timeseries.csv"),
+                 "--out", str(out)]) == 0
+    for name in ("summary.json", "hits.csv", "bins.csv", "comparison.svg"):
+        assert ((out / name).read_bytes()
+                == (GOLDEN / "analyze" / name).read_bytes()), name
 
 
 def test_module_entrypoint_smoke(tmp_path):

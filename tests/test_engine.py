@@ -14,6 +14,7 @@ from _helpers import (
     neighbor_sets_bruteforce,
     perceive_features,
     share_probability,
+    table_dict,
     torus_distance,
 )
 from memesim.core import ConfigurationError, EventKind
@@ -310,7 +311,7 @@ def test_horizon_zero_is_empty():
     assert len(out.currently_infected) == 0
     assert len(out.cumulative_exposures) == 0
     assert len(out.events) == 0
-    assert out.per_meme_hits == {}
+    assert table_dict(out.hits) == {}
 
 
 def test_run_determinism_byte_identical_logs(tmp_path):
@@ -323,9 +324,9 @@ def test_run_determinism_byte_identical_logs(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(out1.currently_infected, out2.currently_infected)
     assert np.array_equal(out1.cumulative_exposures, out2.cumulative_exposures)
-    assert out1.per_meme_hits == out2.per_meme_hits
+    assert table_dict(out1.hits) == table_dict(out2.hits)
     other = run(replace(cfg, master_seed=8))
-    assert other.per_meme_hits != out1.per_meme_hits
+    assert table_dict(other.hits) != table_dict(out1.hits)
 
 
 def test_series_consistent_with_event_log():
@@ -344,7 +345,7 @@ def test_series_consistent_with_event_log():
             per_meme.setdefault(rec.meme_id, 0)
         elif rec.kind is EventKind.EXPOSE:
             per_meme[rec.meme_id] = per_meme.get(rec.meme_id, 0) + 1
-    assert per_meme == out.per_meme_hits
+    assert per_meme == table_dict(out.hits)
     assert np.all(out.currently_infected >= 0)
 
 
@@ -515,8 +516,8 @@ def test_engine_matches_scalar_reference():
         assert same, f"{cfg}: first differing event {first}"
         assert list(out.currently_infected) == ref.currently_infected, cfg
         assert list(out.cumulative_exposures) == ref.exposure_series, cfg
-        assert out.per_meme_hits == {m: int(ref.world.hits[m])
-                                     for m in range(ref.world.meme_count)}, cfg
+        assert table_dict(out.hits) == {m: int(ref.world.hits[m])
+                                        for m in range(ref.world.meme_count)}, cfg
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from _helpers import (
     emit_line,
     read_log,
     records_of,
+    table_dict,
     write_records,
 )
 from memesim import logio
@@ -22,6 +23,7 @@ from memesim.core import EventKind, EventRecord, InputError
 from memesim.logio import (
     LogParseError,
     aggregate_hits,
+    hit_summary,
     parse_line,
     read_columns,
 )
@@ -154,20 +156,27 @@ def aggregate(records, **kwargs):
     return aggregate_hits([columns_of(records)], **kwargs)
 
 
+def summary_of(memes):
+    return hit_summary(memes[1], 1)
+
+
 def test_empty_stream():
-    s = aggregate_hits([])
-    assert s.total_hits == 0 and s.meme_count == 0 and s.max_hits == 0
-    assert s.median_hits == 0.0 and s.fraction_below_2 == 0.0
+    memes, bins = aggregate_hits([])
+    assert table_dict(memes) == {} and table_dict(bins) == {}
+    s = summary_of(memes)
+    assert s["total_hits"] == 0 and s["meme_count"] == 0 and s["max_hits"] == 0
+    assert s["median_hits"] == 0.0 and s["fraction_below_2"] == 0.0
 
 
 def test_median_counts_created_but_unseen_memes():
     records = [_create(0, 0), _create(0, 1), _create(0, 2)]
     records += [_expose(1, 0)] * 5 + [_expose(2, 1)]
-    s = aggregate(records)
+    memes, _ = aggregate(records)
     # Hand-computed median over counts {5, 1, 0} is 1.
-    assert s.per_meme == {0: 5, 1: 1, 2: 0}
-    assert s.median_hits == 1.0
-    assert s.max_hits == 5 and s.total_hits == 6 and s.meme_count == 3
+    assert table_dict(memes) == {0: 5, 1: 1, 2: 0}
+    s = summary_of(memes)
+    assert s["median_hits"] == 1.0
+    assert s["max_hits"] == 5 and s["total_hits"] == 6 and s["meme_count"] == 3
 
 
 def test_skewed_traffic_scenario():
@@ -191,19 +200,18 @@ def test_skewed_traffic_scenario():
         for _ in range(c):
             records.append(_expose(tick % 700, m))
             tick += 1
-    s = aggregate(records)
-    assert s.total_hits == 2000
-    assert s.max_hits == 72
-    assert s.meme_count == 236
-    assert s.fraction_below_2 > 0.5
-    assert s.median_hits <= 2
+    s = summary_of(aggregate(records)[0])
+    assert s["total_hits"] == 2000
+    assert s["max_hits"] == 72
+    assert s["meme_count"] == 236
+    assert s["fraction_below_2"] > 0.5
+    assert s["median_hits"] <= 2
 
 
 def test_binning():
     records = [_expose(t, 0) for t in (0, 1, 9, 10, 25)]
-    s = aggregate(records, bin_width_ticks=10)
-    assert s.bins == {0: 3, 10: 1, 20: 1}
-    assert s.bin_width_ticks == 10
+    _, bins = aggregate(records, bin_width_ticks=10)
+    assert table_dict(bins) == {0: 3, 10: 1, 20: 1}
 
 
 def test_totals_match_bruteforce_recount_on_million_line_log():
@@ -226,16 +234,17 @@ def test_totals_match_bruteforce_recount_on_million_line_log():
         yield columns_of(block)
 
     n = 1_000_000
-    s = aggregate_hits(blocks(stream(31, n)))
+    memes, _ = aggregate_hits(blocks(stream(31, n)))
     expected = {}
     for rec in stream(31, n):
         if rec.kind is EventKind.EXPOSE:
             expected[rec.meme_id] = expected.get(rec.meme_id, 0) + 1
         else:
             expected.setdefault(rec.meme_id, 0)
-    assert s.per_meme == expected
-    assert s.total_hits == sum(expected.values())
-    assert s.max_hits == max(expected.values())
+    assert table_dict(memes) == expected
+    s = summary_of(memes)
+    assert s["total_hits"] == sum(expected.values())
+    assert s["max_hits"] == max(expected.values())
 
 
 def test_invalid_bin_width():
@@ -337,8 +346,9 @@ def test_block_reader_matches_line_oracle(tmp_path_factory, records, mutations,
         return recs, aggregate_records(recs, bin_width)
 
     def block_reader():
+        # Tables as dicts: == on tuples of numpy arrays raises.
         return (records_of(read_columns(path)),
-                aggregate_hits(read_columns(path), bin_width))
+                tuple(map(table_dict, aggregate_hits(read_columns(path), bin_width))))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logio, "_BLOCK_BYTES", block_bytes)
@@ -384,10 +394,10 @@ def test_sparse_meme_ids_aggregate_without_dense_tables():
                _create(INT64_MAX, 5 * 10**11)]
     tracemalloc.start()
     try:
-        s = aggregate(records, bin_width_ticks=10)
+        memes, bins = aggregate(records, bin_width_ticks=10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert s.per_meme == {7: 1, 5 * 10**11: 0, 10**12: 1}
-    assert s.bins == {0: 1, 10**15: 1}
+    assert table_dict(memes) == {7: 1, 5 * 10**11: 0, 10**12: 1}
+    assert table_dict(bins) == {0: 1, 10**15: 1}
     assert peak < 1 << 20
