@@ -190,17 +190,24 @@ def cmd_sweep(config_path, out_dir) -> int:
     # Replicate r of every sweep point reuses the same derived seed, so rows
     # of one point differ only in the seed column.
     seeds = [substream_seed(config.master_seed, r) for r in range(sweep.replicates)]
-    rows = []
-    for point in _sweep_points(sweep):
-        for replicate in range(sweep.replicates):
-            run_cfg = replace(_apply_point(config, point),
-                              master_seed=seeds[replicate])
+    runs = [(point, seed) for point in _sweep_points(sweep) for seed in seeds]
+    configs = [replace(_apply_point(config, point), master_seed=seed)
+               for point, seed in runs]
+    groups = {}
+    for i, run_cfg in enumerate(configs):
+        groups.setdefault(engine.trajectory_key(run_cfg), []).append(i)
+    rows = [None] * len(runs)
+    for members in groups.values():
+        # Runs on one trajectory go in lockstep.  Only their hit counts are
+        # kept, so a group's events are freed before the next group runs.
+        counts = [out.hits[1] for out in engine.run_many([configs[i] for i in members])]
+        for i, hits in zip(members, counts):
+            point, seed = runs[i]
             # The last cumulative exposure is total_hits, 0 at horizon 0.
-            summary = logio.hit_summary(engine.run(run_cfg).hits[1], _SUMMARY_BIN_WIDTH)
-            rows.append(
-                [point[name] for name in axis_names]
-                + [seeds[replicate], summary["total_hits"], summary["max_hits"],
-                   summary["median_hits"]])
+            summary = logio.hit_summary(hits, _SUMMARY_BIN_WIDTH)
+            rows[i] = ([point[name] for name in axis_names]
+                       + [seed, summary["total_hits"], summary["max_hits"],
+                          summary["median_hits"]])
 
     logio.write_csv(out / "sweep.csv",
                     ",".join(axis_names + ["seed", "final_cumulative_exposures",

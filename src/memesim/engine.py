@@ -4,7 +4,8 @@ Each tick runs four phases in a fixed order -- recruit, walk, share,
 recovery -- so a run is fully determined by its config and master seed.
 Randomness is split across named streams (placement, walk, meme content,
 decisions, perception) so that, for example, changing the sharing model
-leaves agent trajectories untouched.
+leaves agent trajectories untouched: every config with one `trajectory_key`
+walks one `Trajectory`, and `run_many` walks it once per tick for them all.
 
 Infection state is three aligned arrays on the world: `keys`, the sorted
 int64 pair keys ``agent * max_memes + meme`` (so key order is (agent,
@@ -22,6 +23,7 @@ the tick in one `EventLog.extend` call.
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from dataclasses import dataclass
@@ -106,6 +108,9 @@ class SimConfig:
               "master_seed", "must be an unsigned 64-bit integer")
         check(isinstance(self.reinfection_resets_timer, bool),
               "reinfection_resets_timer", "must be a boolean")
+        if all(_is_int(v) for v in (self.population, self.recruits, self.memes_per_recruit)):
+            check(self.population * self.max_memes < 2 ** 63, "memes_per_recruit",
+                  "must keep population * recruits * memes_per_recruit below 2**63")
         return bad
 
     def ensure_valid(self):
@@ -253,29 +258,49 @@ class UniformGrid:
 # World state and tick phases
 # ---------------------------------------------------------------------------
 
-class WorldState:
-    """Mutable state of a running simulation; built by init_world."""
+class Trajectory:
+    """Agent positions and the walk stream, fixed by trajectory_key alone.
 
-    __slots__ = ("config", "tick", "xs", "ys", "recruited",
-                 "perception_seeds", "meme_latents", "meme_count",
-                 "keys", "expiry", "probs", "hits", "events",
-                 "placement", "walk", "meme_content", "decisions",
-                 "infected_series", "exposure_series")
+    `placement` is the placement stream just past the positions' draws;
+    each world on the trajectory copies it for its recruits.
+    """
+
+    __slots__ = ("xs", "ys", "walk", "placement")
 
     def __init__(self, config: SimConfig):
-        self.config = config
-        self.tick = 0
         n = config.population
         self.placement = RngStream(config.master_seed, StreamLabel.PLACEMENT)
         self.walk = RngStream(config.master_seed, StreamLabel.WALK)
-        self.meme_content = RngStream(config.master_seed, StreamLabel.MEME_CONTENT)
-        self.decisions = RngStream(config.master_seed, StreamLabel.DECISIONS)
-        perception = RngStream(config.master_seed, StreamLabel.PERCEPTION)
-
         u = self.placement.uniforms(2 * n)
         self.xs = wrap_coords(u[0::2] * config.world_width, config.world_width)
         self.ys = wrap_coords(u[1::2] * config.world_height, config.world_height)
-        self.perception_seeds = perception.raw(n)
+
+
+def trajectory_key(config: SimConfig) -> tuple:
+    """The fields that fix a run's Trajectory."""
+    return (config.population, config.world_width, config.world_height,
+            config.step_size, config.master_seed)
+
+
+class WorldState:
+    """Epidemic state of one run on its shared Trajectory `traj`; built by init_world."""
+
+    __slots__ = ("config", "traj", "tick", "recruited",
+                 "perception_seeds", "meme_latents", "meme_count",
+                 "keys", "expiry", "probs", "hits", "events",
+                 "placement", "meme_content", "decisions",
+                 "infected_series", "exposure_series")
+
+    def __init__(self, config: SimConfig, traj: Trajectory):
+        self.config = config
+        self.traj = traj
+        self.tick = 0
+        n = config.population
+        self.placement = copy.copy(traj.placement)
+        self.meme_content = RngStream(config.master_seed, StreamLabel.MEME_CONTENT)
+        self.decisions = RngStream(config.master_seed, StreamLabel.DECISIONS)
+        self.perception_seeds = RngStream(config.master_seed,
+                                          StreamLabel.PERCEPTION).raw(n)
 
         self.recruited = np.zeros(n, dtype=bool)
         # One latent per perceived feature: humor, self-relevance, self-reference.
@@ -317,10 +342,11 @@ class WorldState:
         return sigmoid_array(z)
 
 
-def init_world(config: SimConfig) -> WorldState:
-    """Place the population uniformly at random; no memes, recruiter at tick 0."""
+def init_world(config: SimConfig, traj: Trajectory | None = None) -> WorldState:
+    """A world at tick 0 with no memes, on `traj` if given (it must have
+    config's trajectory_key), else on a new Trajectory."""
     config.ensure_valid()
-    return WorldState(config)
+    return WorldState(config, Trajectory(config) if traj is None else traj)
 
 
 def recruit_step(world: WorldState) -> WorldState:
@@ -363,18 +389,19 @@ def recruit_step(world: WorldState) -> WorldState:
 
 
 def walk_step(world: WorldState) -> WorldState:
-    """Move every agent one fixed-length step in a uniformly random direction."""
-    cfg = world.config
-    theta = world.walk.uniforms(cfg.population)
+    """Move every agent of world.traj one fixed-length step in a uniformly
+    random direction (for every world on that trajectory)."""
+    cfg, traj = world.config, world.traj
+    theta = traj.walk.uniforms(cfg.population)
     theta *= 2.0 * np.pi
     dx = np.cos(theta)
     dx *= cfg.step_size
-    dx += world.xs
-    world.xs = wrap_coords(dx, cfg.world_width)
+    dx += traj.xs
+    traj.xs = wrap_coords(dx, cfg.world_width)
     dy = np.sin(theta)
     dy *= cfg.step_size
-    dy += world.ys
-    world.ys = wrap_coords(dy, cfg.world_height)
+    dy += traj.ys
+    traj.ys = wrap_coords(dy, cfg.world_height)
     return world
 
 
@@ -403,9 +430,9 @@ def share_step(world: WorldState) -> WorldState:
     # One neighbor query per sharing pair, in key order, so the query's
     # rows are already the exposures in emission order.
     sharers, memes = np.divmod(keys[shared], m)
-    grid = UniformGrid(world.xs, world.ys, cfg.world_width, cfg.world_height,
-                       cfg.neighbor_radius)
-    ptr, exposed = grid.query_many(world.xs[sharers], world.ys[sharers], sharers)
+    xs, ys = world.traj.xs, world.traj.ys
+    grid = UniformGrid(xs, ys, cfg.world_width, cfg.world_height, cfg.neighbor_radius)
+    ptr, exposed = grid.query_many(xs[sharers], ys[sharers], sharers)
     first = ptr[:-1]
     n_pairs, n_exp = len(sharers), len(exposed)
     exp_memes = np.repeat(memes, np.diff(ptr))
@@ -452,16 +479,18 @@ def recovery_step(world: WorldState) -> WorldState:
     return world
 
 
-def step(world: WorldState) -> WorldState:
-    """One full tick: recruit, walk, share, recovery, then series snapshot."""
-    recruit_step(world)
-    walk_step(world)
-    share_step(world)
-    recovery_step(world)
-    world.infected_series.append(len(world.keys))
-    world.exposure_series.append(int(world.hits.sum()))
-    world.tick += 1
-    return world
+def step(*worlds: WorldState):
+    """One tick of worlds on one trajectory: recruit in each, one walk,
+    then share, recovery and the series snapshot in each."""
+    for world in worlds:
+        recruit_step(world)
+    walk_step(worlds[0])
+    for world in worlds:
+        share_step(world)
+        recovery_step(world)
+        world.infected_series.append(len(world.keys))
+        world.exposure_series.append(int(world.hits.sum()))
+        world.tick += 1
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +532,24 @@ def run(config: SimConfig) -> SimOutput:
     Pure function of the config: identical config and seed give a
     byte-identical event log.
     """
-    world = init_world(config)
-    for _ in range(config.horizon_ticks):
-        step(world)
-    return SimOutput(
+    return run_many([config])[0]
+
+
+def run_many(configs) -> list:
+    """run() of each config, in lockstep on one Trajectory: the configs must
+    share one trajectory_key.  A shorter horizon is a prefix of the walk."""
+    if len({trajectory_key(config) for config in configs}) > 1:
+        raise ValueError("run_many needs configs with one trajectory key")
+    worlds, traj = [], None
+    for config in configs:
+        worlds.append(init_world(config, traj))
+        traj = worlds[-1].traj
+    for tick in range(max((config.horizon_ticks for config in configs), default=0)):
+        step(*(world for world in worlds if tick < world.config.horizon_ticks))
+    return [SimOutput(
         currently_infected=np.asarray(world.infected_series, dtype=np.int64),
         cumulative_exposures=np.asarray(world.exposure_series, dtype=np.int64),
         hits=(np.arange(world.meme_count, dtype=np.int64),
               world.hits[:world.meme_count]),
         events=world.events,
-    )
+    ) for world in worlds]

@@ -321,11 +321,12 @@ class ReferenceRun:
 
     This is the share and recovery loop the engine ran before its infection
     state became arrays.  It borrows placement, the walk and the random
-    streams from a real WorldState, but keeps its own infection dict, expiry
-    buckets with lazy deletion and list of event records.  Neighbors come
-    from a brute-force torus scan and share probabilities from the scalar
-    contract path (share_probability of perceive_features), so no grid or
-    vectorized probability code is shared with the engine under test.
+    streams from a real WorldState and its Trajectory, but keeps its own
+    infection dict, expiry buckets with lazy deletion and list of event
+    records.  Neighbors come from a brute-force torus scan and share
+    probabilities from the scalar contract path (share_probability of
+    perceive_features), so no grid or vectorized probability code is shared
+    with the engine under test.
     """
 
     def __init__(self, config):
@@ -388,9 +389,9 @@ class ReferenceRun:
 
     def neighbors(self, agent):
         world, cfg = self.world, self.world.config
-        dx = np.abs(world.xs - world.xs[agent])
+        dx = np.abs(world.traj.xs - world.traj.xs[agent])
         dx = np.minimum(dx, cfg.world_width - dx)
-        dy = np.abs(world.ys - world.ys[agent])
+        dy = np.abs(world.traj.ys - world.traj.ys[agent])
         dy = np.minimum(dy, cfg.world_height - dy)
         hit = np.flatnonzero(np.sqrt(dx * dx + dy * dy) <= cfg.neighbor_radius)
         return [int(b) for b in hit if b != agent]

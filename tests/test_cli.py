@@ -123,6 +123,17 @@ def test_simulate_unknown_key_exits_2(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_pair_key_bound_exits_2(tmp_path):
+    # Pair keys are agent * max_memes + meme in int64: 3 * 2**62 overflows.
+    doc = {"population": 3, "recruits": 1, "memes_per_recruit": 2 ** 62,
+           "horizon_ticks": 2, "world_width": 8.0, "world_height": 8.0}
+    proc = _run_cli("simulate", "--config", str(write_config(tmp_path, doc)),
+                    "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config-error:")
+    assert "memes_per_recruit" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_simulate_unknown_model_key_exits_2(tmp_path, capsys):
     doc = dict(SMALL)
     doc["sharing_model"] = dict(SMALL["sharing_model"], w_bogus=1.0)
@@ -476,18 +487,30 @@ def test_golden_micro_sweep(tmp_path):
     assert (out / "sweep.csv").read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
 
 
+def test_golden_small_sweep(tmp_path):
+    """Byte lock on sweep.csv for configs/small.json: intercept by radius by
+    two replicates, twelve runs that walk two trajectories in lockstep."""
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(CONFIGS / "small.json"),
+                 "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == (GOLDEN / "sweep_small.csv").read_bytes()
+
+
 def test_sweep_rows_match_simulate(tmp_path):
-    """Each micro-sweep row holds what simulate writes for its point and seed."""
-    doc = dict(MICRO, sweep={"axes": {"sharing_model.intercept": [-2.0, -1.0]},
+    """Each micro-sweep row holds what simulate writes for its point and seed.
+    The step_size axis splits the runs into four trajectories."""
+    doc = dict(MICRO, sweep={"axes": {"sharing_model.intercept": [-2.0, -1.0],
+                                      "step_size": [1.0, 2.5]},
                              "replicates": 2})
     assert main(["sweep", "--config", str(write_config(tmp_path, doc)),
                  "--out", str(tmp_path / "sweep")]) == 0
     lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 1 + 2 * 2
+    assert len(lines) == 1 + 2 * 2 * 2
     for i, line in enumerate(lines[1:]):
-        intercept, seed, final, max_hits, median_hits = line.split(",")
-        point = dict(MICRO, sharing_model=dict(MICRO["sharing_model"],
-                                               intercept=float(intercept)))
+        intercept, step_size, seed, final, max_hits, median_hits = line.split(",")
+        point = dict(MICRO, step_size=float(step_size),
+                     sharing_model=dict(MICRO["sharing_model"],
+                                        intercept=float(intercept)))
         out = tmp_path / f"sim{i}"
         assert main(["simulate", "--config",
                      str(write_config(tmp_path, point, f"point{i}.json")),
@@ -511,15 +534,19 @@ def test_golden_micro_analyze(tmp_path):
                 == (GOLDEN / "analyze" / name).read_bytes()), name
 
 
-def test_module_entrypoint_smoke(tmp_path):
-    cfg = write_config(tmp_path, dict(SMALL, horizon_ticks=10))
+def _run_cli(*args):
+    """`python -m memesim.cli args` in a child process."""
     # The child imports the same memesim as this process, installed or not.
     package_root = str(Path(memesim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "memesim.cli", "simulate",
-         "--config", str(cfg), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, "-m", "memesim.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_module_entrypoint_smoke(tmp_path):
+    cfg = write_config(tmp_path, dict(SMALL, horizon_ticks=10))
+    proc = _run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "events.log").exists()
 

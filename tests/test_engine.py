@@ -26,6 +26,7 @@ from memesim.engine import (
     recovery_step,
     recruit_step,
     run,
+    run_many,
     share_step,
     step,
     walk_step,
@@ -75,23 +76,23 @@ def test_validation_lists_every_violated_field():
 
 def test_init_default_world():
     world = init_world(SimConfig())
-    assert len(world.xs) == 15000
+    assert len(world.traj.xs) == 15000
     assert not world.recruited.any()
     assert world.meme_count == 0
     assert len(world.keys) == len(world.expiry) == len(world.probs) == 0
-    assert np.all((world.xs >= 0) & (world.xs < 200.0))
-    assert np.all((world.ys >= 0) & (world.ys < 200.0))
+    assert np.all((world.traj.xs >= 0) & (world.traj.xs < 200.0))
+    assert np.all((world.traj.ys >= 0) & (world.traj.ys < 200.0))
 
 
 def test_init_single_agent_world():
     world = init_world(small_config(population=1, recruits=1))
-    assert len(world.xs) == 1
+    assert len(world.traj.xs) == 1
 
 
 def test_init_is_deterministic():
     a = init_world(small_config())
     b = init_world(small_config())
-    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+    assert np.array_equal(a.traj.xs, b.traj.xs) and np.array_equal(a.traj.ys, b.traj.ys)
     assert np.array_equal(a.perception_seeds, b.perception_seeds)
 
 
@@ -165,22 +166,22 @@ def test_full_scale_recruitment_totals():
 
 def test_zero_step_keeps_positions():
     world = init_world(small_config(step_size=0.0))
-    xs, ys = world.xs.copy(), world.ys.copy()
+    xs, ys = world.traj.xs.copy(), world.traj.ys.copy()
     walk_step(world)
-    assert np.array_equal(world.xs, xs) and np.array_equal(world.ys, ys)
+    assert np.array_equal(world.traj.xs, xs) and np.array_equal(world.traj.ys, ys)
 
 
 def test_walk_stays_in_bounds_and_moves_step_size():
     cfg = small_config(step_size=1.5)
     world = init_world(cfg)
     for _ in range(25):
-        before = (world.xs.copy(), world.ys.copy())
+        before = (world.traj.xs.copy(), world.traj.ys.copy())
         walk_step(world)
-        assert np.all((world.xs >= 0) & (world.xs < cfg.world_width))
-        assert np.all((world.ys >= 0) & (world.ys < cfg.world_height))
+        assert np.all((world.traj.xs >= 0) & (world.traj.xs < cfg.world_width))
+        assert np.all((world.traj.ys >= 0) & (world.traj.ys < cfg.world_height))
         for i in range(0, cfg.population, 7):
             d = torus_distance((before[0][i], before[1][i]),
-                               (world.xs[i], world.ys[i]),
+                               (world.traj.xs[i], world.traj.ys[i]),
                                cfg.world_width, cfg.world_height)
             assert d == pytest.approx(1.5, rel=1e-12)
 
@@ -274,10 +275,10 @@ def test_sis_reinfection_round_trip():
     creator = int(np.flatnonzero(world.recruited)[0])
     others = [i for i in range(3) if i != creator]
     # Creator at the end of the line: expiries stagger down the chain.
-    world.xs[creator] = 5.0
-    world.xs[others[0]] = 6.0
-    world.xs[others[1]] = 7.0
-    world.ys[:] = 5.0
+    world.traj.xs[creator] = 5.0
+    world.traj.xs[others[0]] = 6.0
+    world.traj.xs[others[1]] = 7.0
+    world.traj.ys[:] = 5.0
     for _ in range(cfg.horizon_ticks):
         step(world)
     counts = {}
@@ -518,6 +519,52 @@ def test_engine_matches_scalar_reference():
         assert list(out.cumulative_exposures) == ref.exposure_series, cfg
         assert table_dict(out.hits) == {m: int(ref.world.hits[m])
                                         for m in range(ref.world.meme_count)}, cfg
+
+
+def lockstep_group():
+    """Six configs with one trajectory key that differ in everything else.
+
+    The shortest horizon comes first, so a walk driven by whichever member
+    is live first would go on without it; one member stops at horizon 0.
+    """
+    base = small_config(horizon_ticks=40, sharing_model=SharingModel(-1.5, 0.5, 0.5, 0.25))
+    return [
+        replace(base, horizon_ticks=6, neighbor_radius=3.5),
+        base,
+        replace(base, horizon_ticks=0),
+        replace(base, neighbor_radius=1.2, recruit_interval_ticks=1, recruit_batch_size=2),
+        replace(base, horizon_ticks=25, reinfection_resets_timer=False,
+                infection_duration_ticks=2),
+        replace(base, horizon_ticks=55, perception_noise_sd=0.0,
+                sharing_model=SharingModel(-0.5, 0.2, 0.6, 0.1)),
+    ]
+
+
+def test_run_many_matches_run_per_member():
+    group = lockstep_group()
+    outputs = run_many(group)
+    assert len(outputs) == len(group)
+    for cfg, out in zip(group, outputs):
+        want = run(cfg)
+        for column in ("ticks", "kinds", "agents", "memes"):
+            assert getattr(out.events, column) == getattr(want.events, column), (cfg, column)
+        assert np.array_equal(out.currently_infected, want.currently_infected), cfg
+        assert np.array_equal(out.cumulative_exposures, want.cumulative_exposures), cfg
+        assert table_dict(out.hits) == table_dict(want.hits), cfg
+        assert len(out.currently_infected) == cfg.horizon_ticks
+    # Every member that runs spreads its memes, so the comparison is not vacuous.
+    assert all(out.cumulative_exposures[-1] > 0
+               for cfg, out in zip(group, outputs) if cfg.horizon_ticks)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("population", 61), ("world_width", 21.0), ("world_height", 19.0),
+    ("step_size", 1.5), ("master_seed", 8),
+])
+def test_run_many_rejects_mixed_trajectory_keys(field, value):
+    base = small_config(horizon_ticks=3)
+    with pytest.raises(ValueError, match="trajectory key"):
+        run_many([base, base, replace(base, **{field: value})])
 
 
 # ---------------------------------------------------------------------------
