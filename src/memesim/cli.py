@@ -1,8 +1,8 @@
 """Batch front door: simulate, sweep, fit, analyze.
 
 Exit codes are fixed for scripting: 0 success, 2 config violation (every
-violated field named), 3 I/O failure, 4 data error from the stats or log
-layers (first token of the stderr line is a machine-readable reason).
+violated field named), 3 I/O or memory failure, 4 data error from the stats
+or log layers (first token of the stderr line is a machine-readable reason).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 from . import engine, logio, stats
@@ -25,12 +25,6 @@ _SIM_KEYS = {f.name for f in dataclass_fields(SimConfig)}
 _TOP_KEYS = _SIM_KEYS | {"sweep", "output_dir"}
 _SWEEP_KEYS = {"axes", "replicates"}
 _SUMMARY_BIN_WIDTH = 10  # summary.json records it; simulate and sweep bin nothing
-
-
-@dataclass
-class SweepSpec:
-    axes: dict
-    replicates: int
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +54,7 @@ def _build_sharing_model(value, base: SharingModel) -> SharingModel:
 
 
 def load_run_config(path):
-    """Parse a run-config JSON file; returns (SimConfig, SweepSpec|None, out_dir|None).
+    """Parse a run-config JSON file; returns (SimConfig, sweep|None, out_dir|None).
 
     Unknown keys are rejected and every SimConfig invariant is revalidated.
     """
@@ -91,7 +85,9 @@ def load_run_config(path):
     return config, sweep, out_dir
 
 
-def _parse_sweep(value, config: SimConfig) -> SweepSpec:
+def _parse_sweep(value, config: SimConfig):
+    """The sweep section as (axis names, runs): one (axis values, run config)
+    per point and replicate, point-major.  Every point must be a valid config."""
     if not isinstance(value, dict):
         raise ConfigurationError("sweep must be an object", fields=("sweep",))
     unknown = sorted(set(value) - _SWEEP_KEYS)
@@ -113,11 +109,15 @@ def _parse_sweep(value, config: SimConfig) -> SweepSpec:
     if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
         raise ConfigurationError("sweep.replicates must be a positive integer",
                                  fields=("sweep.replicates",))
-    # Every sweep point must itself be a valid config.
-    spec = SweepSpec(axes=dict(axes), replicates=replicates)
-    for point in _sweep_points(spec):
-        _apply_point(config, point).ensure_valid()
-    return spec
+    # Replicate r of every sweep point reuses the same derived seed, so rows
+    # of one point differ only in the seed column.
+    seeds = [substream_seed(config.master_seed, r) for r in range(replicates)]
+    names, runs = list(axes), []
+    for values in itertools.product(*axes.values()):
+        point = _apply_point(config, dict(zip(names, values)))
+        point.ensure_valid()
+        runs += [(list(values), replace(point, master_seed=seed)) for seed in seeds]
+    return names, runs
 
 
 def _is_sweepable(name: str) -> bool:
@@ -127,12 +127,6 @@ def _is_sweepable(name: str) -> bool:
         return True
     return (name.startswith("sharing_model.")
             and name.split(".", 1)[1] in _MODEL_KEYS)
-
-
-def _sweep_points(spec: SweepSpec):
-    names = list(spec.axes)
-    for combo in itertools.product(*(spec.axes[n] for n in names)):
-        yield dict(zip(names, combo))
 
 
 def _apply_point(config: SimConfig, point: dict) -> SimConfig:
@@ -181,33 +175,20 @@ def cmd_simulate(config_path, out_dir, seed_override=None) -> int:
 
 
 def cmd_sweep(config_path, out_dir) -> int:
-    config, sweep, cfg_out = load_run_config(config_path)
+    _, sweep, cfg_out = load_run_config(config_path)
     if sweep is None:
         raise ConfigurationError("config has no sweep section", fields=("sweep",))
     out = _resolve_out_dir(out_dir, cfg_out)
 
-    axis_names = list(sweep.axes)
-    # Replicate r of every sweep point reuses the same derived seed, so rows
-    # of one point differ only in the seed column.
-    seeds = [substream_seed(config.master_seed, r) for r in range(sweep.replicates)]
-    runs = [(point, seed) for point in _sweep_points(sweep) for seed in seeds]
-    configs = [replace(_apply_point(config, point), master_seed=seed)
-               for point, seed in runs]
-    groups = {}
-    for i, run_cfg in enumerate(configs):
-        groups.setdefault(engine.trajectory_key(run_cfg), []).append(i)
+    axis_names, runs = sweep
     rows = [None] * len(runs)
-    for members in groups.values():
-        # Runs on one trajectory go in lockstep.  Only their hit counts are
-        # kept, so a group's events are freed before the next group runs.
-        counts = [out.hits[1] for out in engine.run_many([configs[i] for i in members])]
-        for i, hits in zip(members, counts):
-            point, seed = runs[i]
-            # The last cumulative exposure is total_hits, 0 at horizon 0.
-            summary = logio.hit_summary(hits, _SUMMARY_BIN_WIDTH)
-            rows[i] = ([point[name] for name in axis_names]
-                       + [seed, summary["total_hits"], summary["max_hits"],
-                          summary["median_hits"]])
+    for i, output in engine.run_many([run_cfg for _, run_cfg in runs]):
+        values, run_cfg = runs[i]
+        # The last cumulative exposure is total_hits, 0 at horizon 0.
+        summary = logio.hit_summary(output.hits[1], _SUMMARY_BIN_WIDTH)
+        rows[i] = values + [run_cfg.master_seed, summary["total_hits"],
+                            summary["max_hits"], summary["median_hits"]]
+        del output  # so the next lockstep group runs without these events
 
     logio.write_csv(out / "sweep.csv",
                     ",".join(axis_names + ["seed", "final_cumulative_exposures",
@@ -223,8 +204,7 @@ def cmd_fit(data_path, model: str, out_path) -> int:
     else:
         result = stats.logistic_fit(design)
     out = Path(out_path)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     result.write_json(out)
     return 0
 
@@ -358,6 +338,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"memory-error: {exc}", file=sys.stderr)
         return 3
 
 

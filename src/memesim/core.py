@@ -78,12 +78,12 @@ def substream_seed(seed: int, salt: int) -> int:
     return int(_substream_seeds_u64(seeds, salts)[0])
 
 
-def _raw_block(state: int, n: int) -> np.ndarray:
-    """Raw outputs 1..n of the stream whose current base state is `state`."""
+def _raw_block(states, n: int) -> np.ndarray:
+    """Raw outputs 1..n of the streams whose current base states are
+    `states` (one int or a uint64 array), along a new last axis."""
     z = np.arange(1, n + 1, dtype=np.uint64)
     z *= np.uint64(GAMMA)
-    z += np.uint64(state & MASK64)
-    return _mix64_u64(z)
+    return _mix64_u64(np.asarray(states, dtype=np.uint64)[..., None] + z)
 
 
 def _to_uniform(raw: np.ndarray) -> np.ndarray:
@@ -96,15 +96,6 @@ def _to_normal(raw_pairs: np.ndarray) -> np.ndarray:
     u2 = _to_uniform(raw_pairs[..., 1::2])
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     return radius * np.cos((2.0 * np.pi) * u2)
-
-
-def _keyed_normals_batch(states: np.ndarray, count: int) -> np.ndarray:
-    """Row i holds the first `count` normals of the substream with base state
-    states[i]; shape (len(states), count).  Stateless: the same keys always
-    give the same rows."""
-    idx = np.arange(1, 2 * count + 1, dtype=np.uint64)
-    raws = _mix64_u64(states[:, None] + idx[None, :] * np.uint64(GAMMA))
-    return _to_normal(raws)
 
 
 class StreamLabel(Enum):
@@ -210,4 +201,4 @@ def perception_noise_batch(
     keys = _substream_seeds_u64(
         perception_seeds.astype(np.uint64), meme_ids.astype(np.uint64)
     )
-    return _keyed_normals_batch(keys, 3) * noise_sd
+    return _to_normal(_raw_block(keys, 6)) * noise_sd

@@ -109,8 +109,9 @@ class SimConfig:
         check(isinstance(self.reinfection_resets_timer, bool),
               "reinfection_resets_timer", "must be a boolean")
         if all(_is_int(v) for v in (self.population, self.recruits, self.memes_per_recruit)):
-            check(self.population * self.max_memes < 2 ** 63, "memes_per_recruit",
-                  "must keep population * recruits * memes_per_recruit below 2**63")
+            # Pair keys are int64, and WorldState holds 24 bytes of latents per meme.
+            check(max(self.population, 24) * self.max_memes < 2 ** 63, "memes_per_recruit",
+                  "must keep max(population, 24) * recruits * memes_per_recruit below 2**63")
         return bad
 
     def ensure_valid(self):
@@ -139,7 +140,7 @@ def _is_real(v) -> bool:
 # ---------------------------------------------------------------------------
 
 class EventLog:
-    """Append-only event store; records() yields EventRecord in emission order."""
+    """Append-only event store: four aligned columns in emission order."""
 
     __slots__ = ("ticks", "kinds", "agents", "memes")
 
@@ -158,12 +159,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.ticks)
-
-    def records(self):
-        for tick, code, agent, meme in zip(self.ticks, self.kinds,
-                                           self.agents, self.memes):
-            yield EventRecord(tick=tick, kind=EventKind(code),
-                              agent_id=agent, meme_id=None if meme < 0 else meme)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +502,12 @@ class SimOutput:
     events: EventLog
 
     def event_records(self):
-        return self.events.records()
+        """The events as EventRecord, in emission order."""
+        events = self.events
+        for tick, code, agent, meme in zip(events.ticks, events.kinds,
+                                           events.agents, events.memes):
+            yield EventRecord(tick=tick, kind=EventKind(code),
+                              agent_id=agent, meme_id=None if meme < 0 else meme)
 
     def write_event_log(self, path):
         events = self.events
@@ -532,19 +532,29 @@ def run(config: SimConfig) -> SimOutput:
     Pure function of the config: identical config and seed give a
     byte-identical event log.
     """
-    return run_many([config])[0]
+    return next(run_many([config]))[1]
 
 
-def run_many(configs) -> list:
-    """run() of each config, in lockstep on one Trajectory: the configs must
-    share one trajectory_key.  A shorter horizon is a prefix of the walk."""
-    if len({trajectory_key(config) for config in configs}) > 1:
-        raise ValueError("run_many needs configs with one trajectory key")
+def run_many(configs):
+    """Yield (i, run(configs[i])) for every config.  Configs with one
+    trajectory_key run in lockstep, in groups of first-seen key order; a
+    group's outputs come when its longest horizon ends, and run_many holds
+    none of them while the next group runs."""
+    groups = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(trajectory_key(config), []).append(i)
+    for members in groups.values():
+        yield from zip(members, _run_lockstep([configs[i] for i in members]))
+
+
+def _run_lockstep(configs) -> list:
+    """run() of each config, walking their one Trajectory once per tick.
+    A shorter horizon is a prefix of the walk."""
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))
         traj = worlds[-1].traj
-    for tick in range(max((config.horizon_ticks for config in configs), default=0)):
+    for tick in range(max(config.horizon_ticks for config in configs)):
         step(*(world for world in worlds if tick < world.config.horizon_ticks))
     return [SimOutput(
         currently_infected=np.asarray(world.infected_series, dtype=np.int64),

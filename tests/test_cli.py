@@ -131,7 +131,25 @@ def test_pair_key_bound_exits_2(tmp_path):
                     "--out", str(tmp_path / "o"))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config-error:")
-    assert "memes_per_recruit" in proc.stderr and "Traceback" not in proc.stderr
+    assert "[fields: memes_per_recruit]" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# A world whose preallocation is too big must not end in a traceback:
+# 24 * 2**62 bytes of meme latents cannot be an array (exit 2), and 2.2 TiB
+# cannot be had under a 4 GiB address-space limit (exit 3).
+@pytest.mark.parametrize("memes, code, reason", [
+    (2 ** 62, 2, "config-error:"),
+    (10 ** 11, 3, "memory-error:"),
+], ids=["latents-over-2**63", "latents-over-memory"])
+def test_world_allocation_bound(tmp_path, memes, code, reason):
+    doc = {"population": 1, "recruits": 1, "memes_per_recruit": memes,
+           "horizon_ticks": 2, "world_width": 8.0, "world_height": 8.0}
+    proc = _run_cli("simulate", "--config", str(write_config(tmp_path, doc)),
+                    "--out", str(tmp_path / "o"), address_space=4 * 2 ** 30)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(reason) and "Traceback" not in proc.stderr
+    if code == 2:
+        assert "[fields: memes_per_recruit]" in proc.stderr
 
 
 def test_simulate_unknown_model_key_exits_2(tmp_path, capsys):
@@ -278,6 +296,14 @@ def test_fit_ols_on_shipped_line_fixture(tmp_path):
     assert doc["coefficients"][1] == pytest.approx(2.0, abs=1e-8)
     assert doc["r_squared"] == pytest.approx(1.0, abs=1e-12)
     assert doc["converged"] is True
+
+
+def test_fit_out_under_a_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    assert main(["fit", "--data", str(FIXTURES / "line.csv"), "--model", "ols",
+                 "--out", str(blocker / "fit.json")]) == 3
+    assert capsys.readouterr().err.startswith("io-error:")
 
 
 def test_fit_logistic_single_class_exits_4(tmp_path, capsys):
@@ -534,14 +560,21 @@ def test_golden_micro_analyze(tmp_path):
                 == (GOLDEN / "analyze" / name).read_bytes()), name
 
 
-def _run_cli(*args):
-    """`python -m memesim.cli args` in a child process."""
+def _run_cli(*args, address_space=None):
+    """`python -m memesim.cli args` in a child process, with at most
+    `address_space` bytes of virtual memory if given."""
     # The child imports the same memesim as this process, installed or not.
     package_root = str(Path(memesim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+    def limit():
+        import resource  # POSIX only, as is preexec_fn
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+    # One BLAS thread keeps the child's address space small.
     return subprocess.run([sys.executable, "-m", "memesim.cli", *args],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          preexec_fn=None if address_space is None else limit,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -23,8 +23,8 @@ from memesim.core import (
     perception_noise_batch,
     substream_seed,
     wrap_coords,
-    _keyed_normals_batch,
     _mix64_u64,
+    _raw_block,
     _substream_seeds_u64,
 )
 from memesim.engine import SimConfig, init_world, recruit_step
@@ -290,7 +290,14 @@ def test_perception_batch_matches_scalar():
 
 
 def test_keyed_normals_stateless():
-    keys = np.array([substream_seed(42, 7)] * 2, dtype=np.uint64)
-    rows = _keyed_normals_batch(keys, 3)
-    assert np.array_equal(rows[0], rows[1])
-    assert np.array_equal(rows, _keyed_normals_batch(keys, 3))
+    # Row i of a block over many states is raw outputs 1..n of states[i]
+    # (the mix64 of state + j * GAMMA), as for one int state, and the same
+    # states always give the same block.
+    states = [substream_seed(42, 7), substream_seed(42, 7), 2**64 - 1]
+    keys = np.array(states, dtype=np.uint64)
+    rows = _raw_block(keys, 6)
+    assert rows.shape == (3, 6)
+    for row, state in zip(rows, states):
+        assert np.array_equal(row, _raw_block(state, 6))
+        assert [int(v) for v in row] == [mix64(state + j * GAMMA) for j in range(1, 7)]
+    assert np.array_equal(rows, _raw_block(keys, 6))

@@ -13,6 +13,7 @@ from _helpers import (
     grid_neighbor_sets,
     neighbor_sets_bruteforce,
     perceive_features,
+    records_of,
     share_probability,
     table_dict,
     torus_distance,
@@ -35,6 +36,12 @@ from memesim import logio
 
 ALWAYS = SharingModel(1e6, 0.0, 0.0, 0.0)
 NEVER = SharingModel(-1e6, 0.0, 0.0, 0.0)
+
+
+def world_records(world):
+    """The records a world has logged so far."""
+    ev = world.events
+    return records_of([(ev.ticks, ev.kinds, ev.agents, ev.memes)])
 
 
 def small_config(**kw):
@@ -282,12 +289,12 @@ def test_sis_reinfection_round_trip():
     for _ in range(cfg.horizon_ticks):
         step(world)
     counts = {}
-    for rec in world.events.records():
+    for rec in world_records(world):
         if rec.kind is EventKind.INFECT:
             key = (rec.agent_id, rec.meme_id)
             counts[key] = counts.get(key, 0) + 1
     assert max(counts.values()) >= 2  # somebody was reinfected after recovery
-    check_event_log(world.events.records())
+    check_event_log(world_records(world))
 
 
 def test_timer_reset_policy_extends_infection():
@@ -410,7 +417,7 @@ def test_share_decisions_consume_one_uniform_per_pair():
     walk_step(world)
     m = cfg.max_memes
     pairs = [divmod(int(key), m) for key in world.keys]
-    seeded = [(r.agent_id, r.meme_id) for r in world.events.records()
+    seeded = [(r.agent_id, r.meme_id) for r in world_records(world)
               if r.kind is EventKind.INFECT]
     assert pairs == sorted(seeded)  # key order is (agent_id, meme_id) order
     probs = world.probs.copy()
@@ -418,7 +425,7 @@ def test_share_decisions_consume_one_uniform_per_pair():
     replay = RngStream(cfg.master_seed, StreamLabel.DECISIONS)
     u = replay.uniforms(len(pairs))
     expected_sharers = [pair for pair, draw, p in zip(pairs, u, probs) if draw < p]
-    actual_sharers = [(r.agent_id, r.meme_id) for r in world.events.records()
+    actual_sharers = [(r.agent_id, r.meme_id) for r in world_records(world)
                       if r.kind is EventKind.SHARE]
     assert actual_sharers == expected_sharers
 
@@ -542,10 +549,10 @@ def lockstep_group():
 
 def test_run_many_matches_run_per_member():
     group = lockstep_group()
-    outputs = run_many(group)
-    assert len(outputs) == len(group)
-    for cfg, out in zip(group, outputs):
-        want = run(cfg)
+    pairs = list(run_many(group))
+    assert sorted(i for i, _ in pairs) == list(range(len(group)))
+    for i, out in pairs:
+        cfg, want = group[i], run(group[i])
         for column in ("ticks", "kinds", "agents", "memes"):
             assert getattr(out.events, column) == getattr(want.events, column), (cfg, column)
         assert np.array_equal(out.currently_infected, want.currently_infected), cfg
@@ -554,17 +561,25 @@ def test_run_many_matches_run_per_member():
         assert len(out.currently_infected) == cfg.horizon_ticks
     # Every member that runs spreads its memes, so the comparison is not vacuous.
     assert all(out.cumulative_exposures[-1] > 0
-               for cfg, out in zip(group, outputs) if cfg.horizon_ticks)
+               for i, out in pairs if group[i].horizon_ticks)
 
 
 @pytest.mark.parametrize("field, value", [
     ("population", 61), ("world_width", 21.0), ("world_height", 19.0),
     ("step_size", 1.5), ("master_seed", 8),
 ])
-def test_run_many_rejects_mixed_trajectory_keys(field, value):
-    base = small_config(horizon_ticks=3)
-    with pytest.raises(ValueError, match="trajectory key"):
-        run_many([base, base, replace(base, **{field: value})])
+def test_run_many_splits_mixed_trajectory_keys(field, value):
+    # Members 0 and 2 share a trajectory and run as one group, first-seen
+    # first; member 1 differs in one trajectory field and runs alone.
+    base = small_config(horizon_ticks=12, sharing_model=ALWAYS)
+    group = [base, replace(base, **{field: value}),
+             replace(base, horizon_ticks=8, neighbor_radius=3.0)]
+    pairs = list(run_many(group))
+    assert [i for i, _ in pairs] == [0, 2, 1]
+    for i, out in pairs:
+        records = list(out.event_records())
+        assert any(r.kind is EventKind.SHARE for r in records), group[i]
+        assert records == list(run(group[i]).event_records()), group[i]
 
 
 # ---------------------------------------------------------------------------
