@@ -31,28 +31,6 @@ _SUMMARY_BIN_WIDTH = 10  # summary.json records it; simulate and sweep bin nothi
 # Config loading (strict schema)
 # ---------------------------------------------------------------------------
 
-def _build_sharing_model(value, base: SharingModel) -> SharingModel:
-    """`base` with the coefficients that the JSON object `value` sets."""
-    if not isinstance(value, dict):
-        raise ConfigurationError("sharing_model must be an object",
-                                 fields=("sharing_model",))
-    unknown = sorted(set(value) - set(_MODEL_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown sharing_model keys: {', '.join(unknown)}",
-            fields=[f"sharing_model.{k}" for k in unknown])
-    merged = {k: getattr(base, k) for k in _MODEL_KEYS}
-    for key, v in value.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigurationError(f"sharing_model.{key} must be a number",
-                                     fields=(f"sharing_model.{key}",))
-        merged[key] = float(v)
-    try:
-        return SharingModel(**merged)
-    except InputError as exc:
-        raise ConfigurationError(str(exc), fields=("sharing_model",)) from None
-
-
 def load_run_config(path):
     """Parse a run-config JSON file; returns (SimConfig, sweep|None, out_dir|None).
 
@@ -130,19 +108,27 @@ def _is_sweepable(name: str) -> bool:
 
 
 def _apply_point(config: SimConfig, point: dict) -> SimConfig:
+    """`config` with `point` set, whose keys are SimConfig fields or
+    sharing_model.<coefficient>; the keys are checked here, values by validate()."""
     overrides = {}
     model_patch = {}
     for name, value in point.items():
         if name == "sharing_model":
-            overrides[name] = _build_sharing_model(value, config.sharing_model)
+            if not isinstance(value, dict):
+                raise ConfigurationError("sharing_model must be an object",
+                                         fields=("sharing_model",))
+            model_patch.update(value)
         elif name.startswith("sharing_model."):
             model_patch[name.split(".", 1)[1]] = value
         else:
             overrides[name] = value
-    if model_patch:
-        overrides["sharing_model"] = _build_sharing_model(model_patch,
-                                                          config.sharing_model)
-    return replace(config, **overrides)
+    unknown = sorted(set(model_patch) - set(_MODEL_KEYS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown sharing_model keys: {', '.join(unknown)}",
+            fields=[f"sharing_model.{k}" for k in unknown])
+    return replace(config, sharing_model=replace(config.sharing_model, **model_patch),
+                   **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +307,8 @@ def main(argv=None) -> int:
         fields = ", ".join(exc.fields) if exc.fields else "<config>"
         print(f"config-error: {exc} [fields: {fields}]", file=sys.stderr)
         return 2
-    except stats.DegenerateResponseError as exc:
-        print(f"degenerate-response: {exc}", file=sys.stderr)
-        return 4
-    except stats.SingularDesignError as exc:
-        print(f"singular-design: {exc}", file=sys.stderr)
-        return 4
-    except stats.UndefinedRSquaredError as exc:
-        print(f"r-squared-undefined: {exc}", file=sys.stderr)
-        return 4
-    except logio.LogParseError as exc:
-        print(f"parse-error: {exc}", file=sys.stderr)
-        return 4
     except InputError as exc:
-        print(f"input-error: {exc}", file=sys.stderr)
+        print(f"{exc.reason}: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)

@@ -46,7 +46,10 @@ class ConfigurationError(ValueError):
 
 
 class InputError(ValueError):
-    """A runtime input (feature, probability, vector length) is invalid."""
+    """A runtime input (feature, probability, vector length) is invalid;
+    `reason` is the token that starts the CLI's stderr line."""
+
+    reason = "input-error"
 
 
 # ---------------------------------------------------------------------------

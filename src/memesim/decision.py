@@ -8,12 +8,9 @@ fitted with `memesim fit --model ols`; it needs no type of its own.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
-
-from .core import InputError
 
 
 @dataclass(frozen=True)
@@ -24,11 +21,6 @@ class SharingModel:
     w_humor: float
     w_relevance: float
     w_selfref: float
-
-    def __post_init__(self):
-        for name in (f.name for f in fields(self)):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"sharing-model coefficient {name} must be finite")
 
 
 # Calibration artifacts, not empirical estimates: chosen by parameter sweep

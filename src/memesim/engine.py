@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -100,10 +101,19 @@ class SimConfig:
               "neighbor_radius", "must be a positive real")
         check(_is_int(self.infection_duration_ticks) and self.infection_duration_ticks >= 1,
               "infection_duration_ticks", "must be a positive integer")
+        if _is_int(self.horizon_ticks) and _is_int(self.infection_duration_ticks):
+            # Expiry ticks are int64.
+            check(self.horizon_ticks + self.infection_duration_ticks < 2 ** 63,
+                  "infection_duration_ticks",
+                  "must keep horizon_ticks + infection_duration_ticks below 2**63")
         check(_is_real(self.perception_noise_sd) and self.perception_noise_sd >= 0,
               "perception_noise_sd", "must be a non-negative real")
         check(isinstance(self.sharing_model, SharingModel), "sharing_model",
               "must be a SharingModel")
+        if isinstance(self.sharing_model, SharingModel):
+            for f in fields(SharingModel):
+                check(_is_real(getattr(self.sharing_model, f.name)),
+                      f"sharing_model.{f.name}", "must be a finite real")
         check(_is_int(self.master_seed) and 0 <= self.master_seed < 2 ** 64,
               "master_seed", "must be an unsigned 64-bit integer")
         check(isinstance(self.reinfection_resets_timer, bool),
@@ -131,8 +141,9 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
+    # NaN fails the comparison, and an int beyond the float range is no real.
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +195,11 @@ class UniformGrid:
         self.width = width
         self.height = height
         self.radius = radius
-        # Any cell edge >= radius is correct; the cap keeps a tiny radius
-        # from asking for billions of mostly empty cells.
+        # Any cell edge >= radius is correct; the cap keeps a tiny radius from
+        # asking for billions of mostly empty cells (inf if width // radius overflows).
         cap = math.isqrt(len(xs)) + 1
-        self.ncx = max(1, min(int(width // radius), cap))
-        self.ncy = max(1, min(int(height // radius), cap))
+        self.ncx = max(1, int(min(width // radius, cap)))
+        self.ncy = max(1, int(min(height // radius, cap)))
         self.cell_w = width / self.ncx
         self.cell_h = height / self.ncy
         flat = self._cell_of(xs, ys)

@@ -40,8 +40,10 @@ _LINE = re.compile(
 _BLANK = re.compile(rb"^[ \t\x0b\x0c\r]*$", re.ASCII | re.MULTILINE)
 
 
-class LogParseError(ValueError):
+class LogParseError(InputError):
     """A line violates the grammar; carries the line number and bad token."""
+
+    reason = "parse-error"
 
     def __init__(self, message, lineno=None, token=None):
         where = f"line {lineno}: " if lineno is not None else ""

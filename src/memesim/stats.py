@@ -22,16 +22,19 @@ from .core import InputError
 from .decision import sigmoid_array
 
 
-class SingularDesignError(ValueError):
+class SingularDesignError(InputError):
     """The design matrix is rank-deficient after intercept augmentation."""
+    reason = "singular-design"
 
 
-class DegenerateResponseError(ValueError):
+class DegenerateResponseError(InputError):
     """A logistic response with only one class present."""
+    reason = "degenerate-response"
 
 
-class UndefinedRSquaredError(ValueError):
+class UndefinedRSquaredError(InputError):
     """R-squared is undefined because the response is constant (SST = 0)."""
+    reason = "r-squared-undefined"
 
 
 @dataclass

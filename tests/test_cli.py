@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import memesim
 from _helpers import records_of, table_dict
@@ -169,6 +172,48 @@ def test_simulate_non_object_model_exits_2(tmp_path, capsys, model):
     assert "sharing_model must be an object" in capsys.readouterr().err
 
 
+def _small_doc(horizon_ticks, sharing_model=(), **overrides):
+    """configs/small.json without its sweep, at a short horizon."""
+    doc = json.loads((CONFIGS / "small.json").read_text())
+    del doc["sweep"]
+    doc["sharing_model"].update(sharing_model)
+    return dict(doc, horizon_ticks=horizon_ticks, **overrides)
+
+
+# validate() reports every value it rejects, coefficients included, in one line.
+@pytest.mark.parametrize("command, model, overrides, fields", [
+    ("simulate", {"intercept": "x", "w_humor": "y"}, {},
+     "sharing_model.intercept, sharing_model.w_humor"),
+    ("simulate", {"intercept": "x"}, {"population": 0},
+     "population, recruits, sharing_model.intercept"),
+    ("simulate", {"intercept": float("nan")}, {}, "sharing_model.intercept"),
+    ("sweep", {}, {"sweep": {"axes": {"sharing_model.intercept": [-5.0, float("nan")]}}},
+     "sharing_model.intercept"),
+], ids=["two-coefficients", "population-and-coefficient", "nan-coefficient", "nan-axis"])
+def test_every_invalid_value_is_named(tmp_path, capsys, command, model, overrides, fields):
+    cfg = write_config(tmp_path, _small_doc(5, model, **overrides))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error: invalid config:")
+    assert err.endswith(f"[fields: {fields}]\n")
+    assert not out.exists()
+
+
+# Values at the edges of the float and int64 ranges: a cell count of inf,
+# an int that no float holds and an expiry tick beyond int64.
+@pytest.mark.parametrize("model, overrides, code, fields", [
+    ({"intercept": 5.0}, {"neighbor_radius": 5e-324}, 0, None),
+    ({}, {"world_width": 10 ** 400}, 2, "world_width"),
+    ({}, {"infection_duration_ticks": 2 ** 70}, 2, "infection_duration_ticks"),
+], ids=["subnormal-radius", "401-digit-width", "duration-2**70"])
+def test_range_edges_exit_cleanly(tmp_path, capsys, model, overrides, code, fields):
+    cfg = write_config(tmp_path, _small_doc(12, model, **overrides))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert (err == "") if fields is None else err.endswith(f"[fields: {fields}]\n")
+
+
 def test_simulate_missing_config_exits_3(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 3
@@ -312,6 +357,30 @@ def test_fit_logistic_single_class_exits_4(tmp_path, capsys):
                  "--model", "logistic", "--out", str(out)])
     assert code == 4
     assert capsys.readouterr().err.startswith("degenerate-response")
+    assert not out.exists()
+
+
+# One reason token per data error; the line is byte-for-byte the CLI's contract.
+@pytest.mark.parametrize("model, body, line", [
+    ("logistic", b"x,y\n0,1\n1,1\n2,1\n",
+     "degenerate-response: response contains a single class"),
+    ("ols", b"x,x2,y\n0,0,1\n1,1,3\n2,2,4\n3,3,7\n",
+     "singular-design: design is rank deficient (rank 2 < 3 columns)"),
+    ("ols", b"x,y\n0,3\n1,3\n2,3\n",
+     "r-squared-undefined: response is constant; R-squared undefined"),
+    (None, b'0 1 "GET /" RECRUIT\nnot a line\n',
+     "parse-error: line 2: request must be a double-quoted token"),
+], ids=["degenerate-response", "singular-design", "r-squared-undefined", "parse-error"])
+def test_data_error_reasons(tmp_path, capsys, model, body, line):
+    data = tmp_path / "data"
+    data.write_bytes(body)
+    out = tmp_path / "out"
+    if model is None:
+        argv = ["analyze", "--log", str(data), "--out", str(out)]
+    else:
+        argv = ["fit", "--data", str(data), "--model", model, "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
 
 
@@ -590,3 +659,53 @@ def test_shipped_small_config_runs(tmp_path):
                  "--out", str(out)]) == 0
     assert main(["analyze", "--log", str(out / "events.log"),
                  "--bin", "10", "--out", str(tmp_path / "an")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed config contract
+# ---------------------------------------------------------------------------
+
+# A world small enough that every valid draw runs in well under a second.
+TINY = {
+    "population": 30, "recruits": 3, "memes_per_recruit": 2,
+    "recruit_interval_ticks": 1, "horizon_ticks": 6,
+    "world_width": 8.0, "world_height": 8.0, "neighbor_radius": 3.0,
+    "infection_duration_ticks": 3,
+    "sharing_model": {"intercept": 2.0, "w_humor": 0.4,
+                      "w_relevance": 0.4, "w_selfref": 0.2},
+    "master_seed": 3,
+}
+_ODD = [float("nan"), float("inf"), float("-inf"), 5e-324, 1e308,
+        True, None, "x", [], {}]
+_ANY = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.sampled_from(_ODD + [10 ** 400]))
+# Small or invalid only, so that no draw runs long.
+_SMALL = st.one_of(st.integers(-2, 40), st.sampled_from(_ODD))
+_FIELDS = sorted({f.name for f in dataclass_fields(SimConfig)}
+                 | {f"sharing_model.{f.name}" for f in dataclass_fields(SharingModel)})
+
+
+@st.composite
+def fuzzed_docs(draw):
+    """TINY with up to four fields (a coefficient as sharing_model.<name>)
+    set to extreme or ill-typed values."""
+    doc = json.loads(json.dumps(TINY))
+    for name in draw(st.lists(st.sampled_from(_FIELDS), max_size=4, unique=True)):
+        value = draw(_SMALL if name in ("population", "horizon_ticks") else _ANY)
+        if not name.startswith("sharing_model."):
+            doc[name] = value
+        elif isinstance(doc["sharing_model"], dict):
+            doc["sharing_model"][name.split(".", 1)[1]] = value
+    return doc
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(doc=fuzzed_docs())
+@example(doc=dict(TINY, neighbor_radius=5e-324))
+@example(doc=dict(TINY, world_width=10 ** 400))
+@example(doc=dict(TINY, infection_duration_ticks=2 ** 70))
+def test_fuzzed_config_exits_cleanly(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    proc = _run_cli("simulate", "--config", str(write_config(tmp, doc)),
+                    "--out", str(tmp / "o"), address_space=4 * 2 ** 30)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr

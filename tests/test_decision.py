@@ -10,6 +10,7 @@ import pytest
 from _helpers import share_probability, sigmoid
 from memesim.core import InputError, RngStream, StreamLabel
 from memesim.decision import SharingModel, sigmoid_array
+from memesim.engine import SimConfig
 
 
 def _f(h=0.0, r=0.0, s=0.0):
@@ -78,8 +79,10 @@ def test_nonfinite_feature_rejected():
 
 
 def test_nonfinite_coefficient_rejected():
-    with pytest.raises(InputError):
-        SharingModel(float("nan"), 0, 0, 0)
+    # SharingModel is plain data: SimConfig.validate() names a bad coefficient.
+    for value in (float("nan"), float("inf"), "x", True):
+        bad = SimConfig(sharing_model=SharingModel(value, 0, 0, 0)).validate()
+        assert bad == [("sharing_model.intercept", "must be a finite real")]
 
 
 def test_extreme_intercept_saturates_cleanly():

@@ -77,6 +77,18 @@ def test_validation_lists_every_violated_field():
     assert {"population", "neighbor_radius", "horizon_ticks"} <= fields
 
 
+def test_validation_bounds_reals_and_expiry():
+    # An int beyond the float range is no finite real, and expiry ticks
+    # (tick + infection_duration_ticks) are int64.
+    cfg = SimConfig(world_width=10 ** 400, perception_noise_sd=-(10 ** 400),
+                    sharing_model=SharingModel(0, 10 ** 400, 0, 0),
+                    infection_duration_ticks=2 ** 63 - 600)
+    assert [name for name, _ in cfg.validate()] == [
+        "world_width", "infection_duration_ticks", "perception_noise_sd",
+        "sharing_model.w_humor"]
+    assert SimConfig(infection_duration_ticks=2 ** 63 - 601).validate() == []
+
+
 # ---------------------------------------------------------------------------
 # init_world
 # ---------------------------------------------------------------------------
@@ -679,6 +691,11 @@ def test_grid_tiny_radius_keeps_cell_count_bounded():
     want = neighbor_sets_bruteforce(xs, ys, 50.0, 50.0, 1e-6)
     assert all(np.array_equal(g, b) for g, b in zip(got, want))
     assert list(got[0]) == [1]
+    # Here width // radius is inf, which int() cannot take.
+    grid = UniformGrid(xs, ys, 50.0, 50.0, 5e-324)
+    assert grid.ncx * grid.ncy <= 7 * 7
+    got = grid_neighbor_sets(xs, ys, 50.0, 50.0, 5e-324)
+    assert all(len(g) == 0 for g in got)
 
 
 def test_grid_query_excludes_self_but_not_coincident():
