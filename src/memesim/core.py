@@ -141,8 +141,8 @@ class RngStream:
 class EventKind(IntEnum):
     """The six event types a simulation emits (and a log may contain).
 
-    A member's value is its code in the kind columns of EventLog and
-    logio.read_columns, and its name is its log token: EventKind(code)
+    A member's value is its code in the kinds column of the column blocks
+    of EventLog and logio, and its name is its log token: EventKind(code)
     decodes a column and EventKind.__members__.get(token) parses a token.
     Format a kind by .name; from Python 3.11 on, str() gives the integer.
     """

@@ -18,7 +18,8 @@ recruiter-seeded pair also shares on its creation tick, since the recruit
 phase precedes the share phase).  Re-exposure of an infected pair resets
 the timer by default (`reinfection_resets_timer`).  The share and recovery
 phases are whole-tick array passes, and every phase appends its events for
-the tick in one `EventLog.extend` call.
+the tick to the `EventLog` as one column block, the layout that
+`logio.write_lines` writes and `logio.read_columns` reads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import copy
 import math
 import sys
-from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -91,10 +91,11 @@ class SimConfig:
               "recruit_batch_size", "must be a positive integer")
         check(_is_int(self.horizon_ticks) and self.horizon_ticks >= 0,
               "horizon_ticks", "must be a non-negative integer")
-        check(_is_real(self.world_width) and self.world_width > 0,
-              "world_width", "must be a positive real")
-        check(_is_real(self.world_height) and self.world_height > 0,
-              "world_height", "must be a positive real")
+        for name in ("world_width", "world_height"):
+            span = getattr(self, name)
+            check(_is_real(span) and span > 0, name, "must be a positive real")
+            # A torus offset is at most half a span: dx*dx + dy*dy < 2**1021.
+            check(not _is_real(span) or span <= 2 ** 511, name, "must be at most 2**511")
         check(_is_real(self.step_size) and self.step_size >= 0,
               "step_size", "must be a non-negative real")
         check(_is_real(self.neighbor_radius) and self.neighbor_radius > 0,
@@ -108,12 +109,18 @@ class SimConfig:
                   "must keep horizon_ticks + infection_duration_ticks below 2**63")
         check(_is_real(self.perception_noise_sd) and self.perception_noise_sd >= 0,
               "perception_noise_sd", "must be a non-negative real")
+        # Box-Muller normals are below 8.58, so with these bounds every term
+        # and sum of a logit stays below about 2**1006.
+        check(not _is_real(self.perception_noise_sd) or self.perception_noise_sd <= 2 ** 500,
+              "perception_noise_sd", "must be at most 2**500")
         check(isinstance(self.sharing_model, SharingModel), "sharing_model",
               "must be a SharingModel")
         if isinstance(self.sharing_model, SharingModel):
             for f in fields(SharingModel):
-                check(_is_real(getattr(self.sharing_model, f.name)),
-                      f"sharing_model.{f.name}", "must be a finite real")
+                value = getattr(self.sharing_model, f.name)
+                check(_is_real(value), f"sharing_model.{f.name}", "must be a finite real")
+                check(not _is_real(value) or abs(value) <= 2 ** 500, f"sharing_model.{f.name}",
+                      "must be at most 2**500 in magnitude")
         check(_is_int(self.master_seed) and 0 <= self.master_seed < 2 ** 64,
               "master_seed", "must be an unsigned 64-bit integer")
         check(isinstance(self.reinfection_resets_timer, bool),
@@ -151,25 +158,22 @@ def _is_real(v) -> bool:
 # ---------------------------------------------------------------------------
 
 class EventLog:
-    """Append-only event store: four aligned columns in emission order."""
+    """Append-only event store: column blocks, as logio.read_columns yields them."""
 
-    __slots__ = ("ticks", "kinds", "agents", "memes")
+    __slots__ = ("blocks",)
 
     def __init__(self):
-        self.ticks = array("q")
-        self.kinds = array("b")  # EventKind values
-        self.agents = array("q")
-        self.memes = array("q")  # -1 encodes "no meme" (RECRUIT)
+        self.blocks = []
 
     def extend(self, tick: int, kinds, agents, memes):
-        """Append one tick's events at once, in array order."""
-        self.ticks.frombytes(np.full(len(kinds), tick, dtype=np.int64).tobytes())
-        self.kinds.frombytes(np.asarray(kinds, dtype=np.int8).tobytes())
-        self.agents.frombytes(np.asarray(agents, dtype=np.int64).tobytes())
-        self.memes.frombytes(np.asarray(memes, dtype=np.int64).tobytes())
+        """Append one tick's events as one block, kinds as int8.  The int64
+        `agents` and `memes` are kept, not copied: each phase passes arrays
+        it never changes again."""
+        self.blocks.append((np.full(len(kinds), tick, dtype=np.int64),
+                            np.asarray(kinds, dtype=np.int8), agents, memes))
 
     def __len__(self) -> int:
-        return len(self.ticks)
+        return sum(len(block[0]) for block in self.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +480,7 @@ def recovery_step(world: WorldState) -> WorldState:
         return world
     agents, memes = np.divmod(world.keys[due], world.config.max_memes)
     world.events.extend(world.tick,
-                        np.full(len(agents), EventKind.RECOVER),
+                        np.full(len(agents), EventKind.RECOVER, dtype=np.int8),
                         agents, memes)
     keep = ~due
     world.keys = world.keys[keep]
@@ -514,17 +518,14 @@ class SimOutput:
 
     def event_records(self):
         """The events as EventRecord, in emission order."""
-        events = self.events
-        for tick, code, agent, meme in zip(events.ticks, events.kinds,
-                                           events.agents, events.memes):
-            yield EventRecord(tick=tick, kind=EventKind(code),
-                              agent_id=agent, meme_id=None if meme < 0 else meme)
+        for block in self.events.blocks:
+            for tick, code, agent, meme in zip(*(column.tolist() for column in block)):
+                yield EventRecord(tick=tick, kind=EventKind(code),
+                                  agent_id=agent, meme_id=None if meme < 0 else meme)
 
     def write_event_log(self, path):
-        events = self.events
         with open(path, "w", newline="") as fh:
-            logio.write_lines(fh, events.ticks, events.kinds, events.agents,
-                              events.memes)
+            logio.write_lines(fh, self.events.blocks)
 
     def write_timeseries_csv(self, path):
         # Flat rows: enumerate(zip(...)) would nest the pair in one cell.

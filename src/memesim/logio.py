@@ -7,11 +7,11 @@ Wire format, one event per line, LF-terminated:
 `tick`, `agent_id` and `meme_id` are unsigned ASCII decimal integers that
 fit in a signed 64-bit integer, and `event_kind` is one of RECRUIT, CREATE,
 SHARE, EXPOSE, INFECT, RECOVER.  RECRUIT events carry no meme, so their
-request path is the bare site root: `"GET /"`.  write_lines is the one
-serializer of the grammar and parse_line its definition, one line at a
-time; read_columns reads whole files in blocks and is the inverse of
-write_lines.  Blank lines are skipped; `\n`, `\r\n` and `\r` all end a
-line when lines are numbered.
+request path is the bare site root: `"GET /"`.  write_lines, the one
+serializer, writes column blocks; parse_line defines the grammar one
+line at a time; and read_columns(path), the inverse of write_lines, gives
+back the written records as blocks.  Blank lines are skipped; `\n`,
+`\r\n` and `\r` all end a line when lines are numbered.
 """
 
 from __future__ import annotations
@@ -56,17 +56,16 @@ class LogParseError(InputError):
 # Line codec
 # ---------------------------------------------------------------------------
 
-def write_lines(fh, ticks, kinds, agents, memes):
-    """Write events given as columns, one line each, to the text file `fh`.
-
-    kinds[i] is the EventKind value of the event's kind, and memes[i] is
-    negative for a RECRUIT, which carries no meme.
-    """
+def write_lines(fh, blocks):
+    """Write column blocks (ticks, kinds, agents, memes), as read_columns
+    yields them, to the text file `fh`, one line per event.  kinds are
+    EventKind values, and memes are negative for a RECRUIT (no meme)."""
     names = [kind.name for kind in EventKind]
     write = fh.write
-    for tick, code, agent, meme in zip(ticks, kinds, agents, memes):
-        path = "/" if meme < 0 else f"/m/{meme}"
-        write(f'{tick} {agent} "GET {path}" {names[code]}\n')
+    for block in blocks:
+        for tick, code, agent, meme in zip(*(column.tolist() for column in block)):
+            path = "/" if meme < 0 else f"/m/{meme}"
+            write(f'{tick} {agent} "GET {path}" {names[code]}\n')
 
 
 def parse_line(line: str, lineno: int | None = None) -> EventRecord:

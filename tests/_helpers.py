@@ -163,10 +163,7 @@ def emit_line(record: EventRecord) -> str:
 
 def write_records(fh, records):
     """Write records through logio.write_lines, the package's one serializer."""
-    logio.write_lines(fh, [r.tick for r in records],
-                      [r.kind for r in records],
-                      [r.agent_id for r in records],
-                      [-1 if r.meme_id is None else r.meme_id for r in records])
+    logio.write_lines(fh, [columns_of(records)])
 
 
 def columns_of(records):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import memesim
 from _helpers import records_of, table_dict
 from memesim import logio
-from memesim.cli import main
+from memesim.cli import load_run_config, main
 from memesim.engine import SimConfig, run
 from memesim.decision import SharingModel
 
@@ -180,6 +180,10 @@ def _small_doc(horizon_ticks, sharing_model=(), **overrides):
     return dict(doc, horizon_ticks=horizon_ticks, **overrides)
 
 
+# The small config shrunk to 30 agents, 2 recruits and an 8x8 world.
+OVERFLOW_WORLD = {"population": 30, "recruits": 2, "world_width": 8.0, "world_height": 8.0}
+
+
 # validate() reports every value it rejects, coefficients included, in one line.
 @pytest.mark.parametrize("command, model, overrides, fields", [
     ("simulate", {"intercept": "x", "w_humor": "y"}, {},
@@ -189,7 +193,19 @@ def _small_doc(horizon_ticks, sharing_model=(), **overrides):
     ("simulate", {"intercept": float("nan")}, {}, "sharing_model.intercept"),
     ("sweep", {}, {"sweep": {"axes": {"sharing_model.intercept": [-5.0, float("nan")]}}},
      "sharing_model.intercept"),
-], ids=["two-coefficients", "population-and-coefficient", "nan-coefficient", "nan-axis"])
+    # Values whose arithmetic would overflow: a squared torus distance or a logit.
+    ("simulate", {"intercept": 5.0},
+     dict(OVERFLOW_WORLD, world_width=1e308, neighbor_radius=1e308), "world_width"),
+    ("simulate", {"intercept": 5.0},
+     dict(OVERFLOW_WORLD, world_width=1e200, world_height=1e200, neighbor_radius=1e200),
+     "world_width, world_height"),
+    ("simulate", {}, dict(OVERFLOW_WORLD, perception_noise_sd=1e308), "perception_noise_sd"),
+    ("simulate", {"w_humor": 1e308}, dict(OVERFLOW_WORLD, perception_noise_sd=5.0),
+     "sharing_model.w_humor"),
+    ("simulate", {"w_humor": 1e308, "w_relevance": 1e308}, OVERFLOW_WORLD,
+     "sharing_model.w_humor, sharing_model.w_relevance"),
+], ids=["two-coefficients", "population-and-coefficient", "nan-coefficient", "nan-axis",
+        "1e308-world", "1e200-world", "1e308-noise", "1e308-humor", "1e308-humor-relevance"])
 def test_every_invalid_value_is_named(tmp_path, capsys, command, model, overrides, fields):
     cfg = write_config(tmp_path, _small_doc(5, model, **overrides))
     out = tmp_path / "o"
@@ -201,12 +217,20 @@ def test_every_invalid_value_is_named(tmp_path, capsys, command, model, override
 
 
 # Values at the edges of the float and int64 ranges: a cell count of inf,
-# an int that no float holds and an expiry tick beyond int64.
+# an int that no float holds, an expiry tick beyond int64, and the largest
+# world, noise and coefficients whose arithmetic stays finite.
 @pytest.mark.parametrize("model, overrides, code, fields", [
     ({"intercept": 5.0}, {"neighbor_radius": 5e-324}, 0, None),
     ({}, {"world_width": 10 ** 400}, 2, "world_width"),
     ({}, {"infection_duration_ticks": 2 ** 70}, 2, "infection_duration_ticks"),
-], ids=["subnormal-radius", "401-digit-width", "duration-2**70"])
+    ({"intercept": 5.0}, dict(OVERFLOW_WORLD, world_width=2 ** 511, world_height=2.0 ** 511,
+                              neighbor_radius=2.0 ** 511), 0, None),
+    ({name: 2.0 ** 500 for name in ("intercept", "w_humor", "w_relevance", "w_selfref")},
+     dict(OVERFLOW_WORLD, perception_noise_sd=2 ** 500), 0, None),
+    ({name: -2.0 ** 500 for name in ("intercept", "w_humor", "w_relevance", "w_selfref")},
+     dict(OVERFLOW_WORLD, perception_noise_sd=2.0 ** 500), 0, None),
+], ids=["subnormal-radius", "401-digit-width", "duration-2**70", "2**511-world",
+        "2**500-model", "-2**500-model"])
 def test_range_edges_exit_cleanly(tmp_path, capsys, model, overrides, code, fields):
     cfg = write_config(tmp_path, _small_doc(12, model, **overrides))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
@@ -571,6 +595,14 @@ def test_golden_micro_run(tmp_path):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def test_event_count_is_log_line_count(tmp_path):
+    # perfbench's tracer counts events as len(output.events).
+    cfg = write_config(tmp_path, MICRO)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "events.log").read_bytes().count(b"\n")
+    assert len(run(load_run_config(cfg)[0]).events) == lines > 0
+
+
 def test_golden_micro_sweep(tmp_path):
     """Byte lock on sweep.csv: two intercepts by two replicates of the
     micro-run; two rows have a median_hits of the form k + 0.5."""
@@ -703,9 +735,16 @@ def fuzzed_docs(draw):
 @example(doc=dict(TINY, neighbor_radius=5e-324))
 @example(doc=dict(TINY, world_width=10 ** 400))
 @example(doc=dict(TINY, infection_duration_ticks=2 ** 70))
+@example(doc=dict(TINY, world_width=1e308, neighbor_radius=1e308,
+                  sharing_model=dict(TINY["sharing_model"], intercept=5.0)))
+@example(doc=dict(TINY, perception_noise_sd=1e308))
+@example(doc=dict(TINY, perception_noise_sd=5.0,
+                  sharing_model=dict(TINY["sharing_model"], w_humor=1e308)))
 def test_fuzzed_config_exits_cleanly(tmp_path_factory, doc):
     tmp = tmp_path_factory.mktemp("fuzz")
     proc = _run_cli("simulate", "--config", str(write_config(tmp, doc)),
                     "--out", str(tmp / "o"), address_space=4 * 2 ** 30)
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+    # An overflow is a config error, never a warning beside garbage output.
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr

@@ -1,6 +1,7 @@
 """Engine: tick phases, SIS bookkeeping, neighbor search, determinism."""
 
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -40,8 +41,7 @@ NEVER = SharingModel(-1e6, 0.0, 0.0, 0.0)
 
 def world_records(world):
     """The records a world has logged so far."""
-    ev = world.events
-    return records_of([(ev.ticks, ev.kinds, ev.agents, ev.memes)])
+    return records_of(world.events.blocks)
 
 
 def small_config(**kw):
@@ -87,6 +87,23 @@ def test_validation_bounds_reals_and_expiry():
         "world_width", "infection_duration_ticks", "perception_noise_sd",
         "sharing_model.w_humor"]
     assert SimConfig(infection_duration_ticks=2 ** 63 - 601).validate() == []
+
+
+def test_validation_bounds_magnitudes():
+    # The bounds are inclusive, and each gets a reason of its own.
+    assert SimConfig(world_width=2 ** 511, world_height=2.0 ** 511,
+                     perception_noise_sd=2 ** 500,
+                     sharing_model=SharingModel(-2 ** 500, 2.0 ** 500, 0, 0)).validate() == []
+    above = math.nextafter(2.0 ** 500, math.inf)
+    cfg = SimConfig(world_width=2 ** 511 + 1, world_height=1e308,
+                    perception_noise_sd=above,
+                    sharing_model=SharingModel(-above, 0, 0, 2 ** 501))
+    assert cfg.validate() == [
+        ("world_width", "must be at most 2**511"),
+        ("world_height", "must be at most 2**511"),
+        ("perception_noise_sd", "must be at most 2**500"),
+        ("sharing_model.intercept", "must be at most 2**500 in magnitude"),
+        ("sharing_model.w_selfref", "must be at most 2**500 in magnitude")]
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +543,7 @@ def test_engine_matches_scalar_reference():
         out = run(cfg)
         ref = ReferenceRun(cfg).run()
         got = io.StringIO()
-        events = out.events
-        logio.write_lines(got, events.ticks, events.kinds, events.agents, events.memes)
+        logio.write_lines(got, out.events.blocks)
         got = got.getvalue().splitlines()
         want = [emit_line(rec).rstrip("\n") for rec in ref.events]
         same = got == want  # kept out of the assert: a diff of 10^5 lines is slow
@@ -565,8 +581,7 @@ def test_run_many_matches_run_per_member():
     assert sorted(i for i, _ in pairs) == list(range(len(group)))
     for i, out in pairs:
         cfg, want = group[i], run(group[i])
-        for column in ("ticks", "kinds", "agents", "memes"):
-            assert getattr(out.events, column) == getattr(want.events, column), (cfg, column)
+        assert records_of(out.events.blocks) == records_of(want.events.blocks), cfg
         assert np.array_equal(out.currently_infected, want.currently_infected), cfg
         assert np.array_equal(out.cumulative_exposures, want.cumulative_exposures), cfg
         assert table_dict(out.hits) == table_dict(want.hits), cfg

@@ -124,6 +124,28 @@ def test_file_round_trip(tmp_path):
     assert raw.endswith(b"\n") and b"\r" not in raw
 
 
+@st.composite
+def int64_records(draw):
+    """A record whose numbers span the whole non-negative int64 range."""
+    kind = draw(st.sampled_from(KINDS))
+    meme = None if kind is EventKind.RECRUIT else draw(st.integers(0, 2 ** 63 - 1))
+    return EventRecord(draw(st.integers(0, 2 ** 63 - 1)), kind,
+                       draw(st.integers(0, 2 ** 63 - 1)), meme)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(blocks=st.lists(st.lists(int64_records(), max_size=6), min_size=1, max_size=4))
+def test_column_blocks_round_trip(tmp_path_factory, blocks):
+    # write_lines writes any iterable of column blocks, empty ones included,
+    # and read_columns gives back the records it wrote.
+    records = [record for block in blocks for record in block]
+    path = tmp_path_factory.mktemp("blocks") / "events.log"
+    with open(path, "w", newline="") as fh:
+        logio.write_lines(fh, (columns_of(block) for block in blocks))
+    assert path.read_bytes() == "".join(map(emit_line, records)).encode()
+    assert records_of(read_columns(path)) == records
+
+
 def test_kind_codes_are_pinned():
     # read_columns hands these codes to callers, so reordering EventKind
     # would change its public output.
