@@ -191,7 +191,7 @@ def cmd_fit(data_path, model: str, out_path) -> int:
         result = stats.logistic_fit(design)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    result.write_json(out)
+    logio.write_summary_json(result.to_json_dict(), out)
     return 0
 
 

@@ -18,9 +18,10 @@ Raw output ``i`` depends only on the base state and ``i``, so ``k`` draws
 of one value each and one draw of ``k`` values give identical sequences;
 the engine takes each tick's draws of a stream in one call.  Every mix64
 runs on ``uint64`` arrays, whose arithmetic wraps modulo 2**64.  All
-floating-point transcendentals are evaluated by numpy; on any platform
-with IEEE-754 doubles the streams agree bit-for-bit up to libm rounding
-of ``log``/``cos``, which the determinism tests pin down for the host.
+floating-point transcendentals are evaluated by numpy, whose ``log1p``,
+``exp``, ``cos`` and ``sin`` (here, in decision and in the engine) may round
+according to the SIMD target it dispatches to; the determinism tests pin the
+bytes, under the default and a narrower dispatch, on the host that runs them.
 """
 
 from __future__ import annotations

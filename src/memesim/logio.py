@@ -269,6 +269,7 @@ def write_csv(path, header: str, rows):
 
 
 def write_summary_json(summary: dict, path):
+    """`summary` as indented, key-sorted JSON: a summary.json, or fit's result."""
     with open(path, "w", newline="") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -92,11 +91,6 @@ class FitResult:
             out["log_likelihood"] = self.log_likelihood
         return out
 
-    def write_json(self, path):
-        with open(path, "w", newline="") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # Goodness of fit
@@ -115,15 +109,6 @@ def r_squared(y, y_hat) -> float:
     return 1.0 - sse / sst
 
 
-def mcfadden(lnl: float, lnl0: float) -> float:
-    """McFadden pseudo R-squared, 1 - lnL/lnL0."""
-    if lnl < lnl0:
-        raise InputError(f"model log-likelihood {lnl} below null {lnl0}")
-    if lnl0 == 0.0:
-        raise UndefinedRSquaredError("null log-likelihood is zero")
-    return 1.0 - lnl / lnl0
-
-
 # ---------------------------------------------------------------------------
 # Fitters
 # ---------------------------------------------------------------------------
@@ -140,17 +125,19 @@ def ols_fit(data: DesignMatrix) -> FitResult:
                      converged=True, iterations=1, r_squared=r2)
 
 
-def logistic_fit(data: DesignMatrix, ridge: float = 1e-6,
-                 max_iter: int = 100, tol: float = 1e-8) -> FitResult:
+_RIDGE = 1e-6
+_MAX_ITER = 100
+_TOL = 1e-8
+
+
+def logistic_fit(data: DesignMatrix) -> FitResult:
     """Ridge-penalized Bernoulli MLE by IRLS with step halving.
 
-    Converged means the penalized-likelihood gradient has infinity norm
-    <= tol.  The intercept is never penalized.  With ridge = 0 on
-    perfectly separated data the MLE sits at infinity, so the result is
-    flagged converged = False (coefficients are still returned).
+    Every coefficient but the intercept carries the penalty _RIDGE, which
+    keeps the optimum finite even on perfectly separated data.  Converged
+    means the penalized-likelihood gradient reached infinity norm <= _TOL
+    within _MAX_ITER iterations.
     """
-    if ridge < 0:
-        raise InputError(f"ridge must be >= 0, got {ridge}")
     y = data.response
     classes = np.unique(y)
     if not np.all(np.isin(classes, (0.0, 1.0))):
@@ -159,8 +146,8 @@ def logistic_fit(data: DesignMatrix, ridge: float = 1e-6,
         raise DegenerateResponseError("response contains a single class")
 
     x = data.with_intercept()
-    n, p = x.shape
-    penalty = np.full(p, ridge)
+    p = x.shape[1]
+    penalty = np.full(p, _RIDGE)
     penalty[0] = 0.0
 
     def penalized_ll(beta):
@@ -172,10 +159,10 @@ def logistic_fit(data: DesignMatrix, ridge: float = 1e-6,
     ll = penalized_ll(beta)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         mu = sigmoid_array(x @ beta)
         grad = x.T @ (y - mu) - penalty * beta
-        if float(np.max(np.abs(grad))) <= tol:
+        if float(np.max(np.abs(grad))) <= _TOL:
             converged = True
             iterations -= 1
             break
@@ -198,18 +185,10 @@ def logistic_fit(data: DesignMatrix, ridge: float = 1e-6,
         else:
             break  # no ascent possible at this point
 
-    mu = sigmoid_array(x @ beta)
-    if converged and ridge == 0.0:
-        # Gradient-flat plus fitted probabilities pinned at the labels means
-        # the unpenalized MLE ran off to infinity (perfect separation).
-        margin = 1e-7
-        if np.all(np.abs(y - mu) < margin):
-            converged = False
-
     lnl = float(np.sum(y * (x @ beta) - np.logaddexp(0.0, x @ beta)))
     ybar = float(y.mean())
     lnl0 = data.n * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
-    pseudo = mcfadden(max(lnl, lnl0), lnl0)
+    pseudo = 1.0 - max(lnl, lnl0) / lnl0  # McFadden's pseudo R-squared
 
     ols_beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     ols_r2 = r_squared(y, x @ ols_beta) if rank == p else None

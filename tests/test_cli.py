@@ -661,9 +661,9 @@ def test_golden_micro_analyze(tmp_path):
                 == (GOLDEN / "analyze" / name).read_bytes()), name
 
 
-def _run_cli(*args, address_space=None):
-    """`python -m memesim.cli args` in a child process, with at most
-    `address_space` bytes of virtual memory if given."""
+def _run_python(*args, address_space=None, **env):
+    """`python args` in a child process, with `env` added to its environment
+    and at most `address_space` bytes of virtual memory if given."""
     # The child imports the same memesim as this process, installed or not.
     package_root = str(Path(memesim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
@@ -672,10 +672,16 @@ def _run_cli(*args, address_space=None):
         import resource  # POSIX only, as is preexec_fn
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     # One BLAS thread keeps the child's address space small.
-    return subprocess.run([sys.executable, "-m", "memesim.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True,
                           preexec_fn=None if address_space is None else limit,
-                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+                                   **env))
+
+
+def _run_cli(*args, address_space=None):
+    """`python -m memesim.cli args` in a child process (see _run_python)."""
+    return _run_python("-m", "memesim.cli", *args, address_space=address_space)
 
 
 def test_module_entrypoint_smoke(tmp_path):
@@ -683,6 +689,55 @@ def test_module_entrypoint_smoke(tmp_path):
     proc = _run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "events.log").exists()
+
+
+# numpy's widest x86 SIMD targets.  With them turned off by
+# NPY_DISABLE_CPU_FEATURES, log1p, exp, cos and sin run narrower loops.
+_WIDE_SIMD = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# Runs the simulate argv lists of argv[1], then prints their exit codes and
+# the disabled targets that are still on.
+_SIMD_CHILD = """
+import importlib, json, os, sys
+from memesim.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+features = importlib.import_module(sys.argv[2]).__cpu_features__
+on = [t for t in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if features[t]]
+print(json.dumps({"codes": codes, "still_on": on}))
+"""
+
+
+def _numpy_umath():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
+def test_artifacts_do_not_depend_on_simd_dispatch(tmp_path):
+    """The golden micro-run, and a default run at seed 13, write the same
+    bytes with numpy's widest SIMD targets turned off."""
+    umath = _numpy_umath()
+    wide = [t for t in _WIDE_SIMD
+            if t in umath.__cpu_dispatch__ and umath.__cpu_features__.get(t)]
+    if not wide:
+        pytest.skip(f"numpy here does not dispatch to any of {', '.join(_WIDE_SIMD)}")
+    default = ["simulate", "--config", str(CONFIGS / "default.json"), "--seed", "13"]
+    runs = [["simulate", "--config", str(write_config(tmp_path, MICRO)),
+             "--out", str(tmp_path / "micro")],
+            default + ["--out", str(tmp_path / "narrow")]]
+    proc = _run_python("-c", _SIMD_CHILD, json.dumps(runs), umath.__name__,
+                       NPY_DISABLE_CPU_FEATURES=" ".join(wide))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "still_on": []}
+    for name in ("events.log", "hits.csv", "timeseries.csv"):
+        assert (tmp_path / "micro" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert main(default + ["--out", str(tmp_path / "wide")]) == 0
+    for name in ("events.log", "timeseries.csv", "hits.csv", "summary.json",
+                 "timeseries.svg"):
+        assert ((tmp_path / "narrow" / name).read_bytes()
+                == (tmp_path / "wide" / name).read_bytes()), name
 
 
 def test_shipped_small_config_runs(tmp_path):

@@ -720,6 +720,34 @@ def test_grid_query_excludes_self_but_not_coincident():
     assert list(grid.query(1.0, 1.0, exclude_id=0)) == [1]
 
 
+# Integer coordinates, so every distance below is exact: agents 0 and 1 are
+# (3, 4) apart, 3 and 4 are (3, 4) apart across both seams of the torus, and
+# 2 and 5 are (4, 4) from 0 and 3, just outside the radius.
+EDGE_XS = np.array([20.0, 23.0, 16.0, 1.0, 38.0, 5.0])
+EDGE_YS = np.array([20.0, 24.0, 16.0, 1.0, 37.0, 5.0])
+
+
+def test_query_many_includes_agents_at_exactly_the_radius():
+    grid = UniformGrid(EDGE_XS, EDGE_YS, 40.0, 40.0, 5.0)
+    ptr, ids = grid.query_many(EDGE_XS, EDGE_YS, np.arange(6))
+    got = [ids[ptr[i]:ptr[i + 1]].tolist() for i in range(6)]
+    assert got == [[1], [0], [], [4], [3], []]
+
+
+@pytest.mark.parametrize("pair", [[0, 1], [3, 4]], ids=["inside", "across-seam"])
+def test_share_exposes_a_neighbor_at_exactly_the_radius(pair):
+    cfg = SimConfig(population=2, recruits=1, memes_per_recruit=1,
+                    horizon_ticks=1, world_width=40.0, world_height=40.0,
+                    neighbor_radius=5.0, step_size=0.0, sharing_model=ALWAYS,
+                    master_seed=3)
+    world = init_world(cfg)
+    world.traj.xs, world.traj.ys = EDGE_XS[pair], EDGE_YS[pair]
+    step(world)
+    creator = int(np.flatnonzero(world.recruited)[0])
+    exposed = [r.agent_id for r in world_records(world) if r.kind is EventKind.EXPOSE]
+    assert exposed == [1 - creator]
+
+
 # ---------------------------------------------------------------------------
 # Event log serialization
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _helpers
+from memesim.cli import main
 from memesim.core import InputError
 from memesim.stats import (
     DegenerateResponseError,
@@ -14,14 +15,13 @@ from memesim.stats import (
     UndefinedRSquaredError,
     load_design_csv,
     logistic_fit,
-    mcfadden,
     ols_fit,
     r_squared,
 )
 
 
 # ---------------------------------------------------------------------------
-# r_squared / mcfadden
+# r_squared
 # ---------------------------------------------------------------------------
 
 def test_r_squared_perfect_fit():
@@ -43,15 +43,6 @@ def test_r_squared_constant_response_undefined():
 def test_r_squared_length_mismatch():
     with pytest.raises(InputError):
         r_squared(np.ones(5), np.ones(4))
-
-
-def test_mcfadden_null_is_zero():
-    assert mcfadden(-100.0, -100.0) == 0.0
-
-
-def test_mcfadden_rejects_lnl_below_null():
-    with pytest.raises(InputError):
-        mcfadden(-101.0, -100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +150,24 @@ def test_logistic_nonbinary_rejected():
         logistic_fit(DesignMatrix(x, np.arange(10, dtype=float)))
 
 
-def test_logistic_perfect_separation_flags_nonconvergence():
+def test_logistic_separated_data_gives_finite_fit(tmp_path):
+    # Without the ridge the likelihood of perfectly separated data has no
+    # finite maximum; with it the fit converges to the penalized optimum.
     x = np.array([[-2.0], [-1.0], [1.0], [2.0], [3.0], [-3.0]])
     y = (x[:, 0] > 0).astype(float)
-    fit = logistic_fit(DesignMatrix(x, y), ridge=0.0)
-    assert not fit.converged
-    assert len(fit.coefficients) == 2  # coefficients still returned
+    fit = logistic_fit(DesignMatrix(x, y))
+    assert fit.converged
+    beta = np.array(fit.coefficients)
+    assert np.all(np.isfinite(beta))
+    xb = np.column_stack([np.ones(6), x])
+    mu = 1.0 / (1.0 + np.exp(-(xb @ beta)))
+    grad = xb.T @ (y - mu) - np.array([0.0, 1e-6]) * beta
+    assert np.max(np.abs(grad)) <= 1e-8
+
+    data = tmp_path / "separated.csv"
+    data.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in zip(x[:, 0], y)))
+    assert main(["fit", "--data", str(data), "--model", "logistic",
+                 "--out", str(tmp_path / "fit.json")]) == 0
 
 
 def test_logistic_gradient_matches_finite_differences():
@@ -172,7 +175,7 @@ def test_logistic_gradient_matches_finite_differences():
     x = rng.normal(size=(800, 2))
     p = 1.0 / (1.0 + np.exp(-(0.5 - x[:, 0] + 0.7 * x[:, 1])))
     y = (rng.random(800) < p).astype(float)
-    fit = logistic_fit(DesignMatrix(x, y), ridge=0.0)
+    fit = logistic_fit(DesignMatrix(x, y))
     beta = np.array(fit.coefficients)
     xb = np.column_stack([np.ones(800), x])
     mu = 1.0 / (1.0 + np.exp(-(xb @ beta)))
@@ -193,11 +196,11 @@ def test_logistic_scale_equivariance():
     x = rng.normal(size=(2000, 2))
     p = 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * x[:, 0] - 0.5 * x[:, 1])))
     y = (rng.random(2000) < p).astype(float)
-    base = logistic_fit(DesignMatrix(x, y), ridge=0.0)
+    base = logistic_fit(DesignMatrix(x, y))
     c = 12.0
     scaled_x = x.copy()
     scaled_x[:, 0] *= c
-    scaled = logistic_fit(DesignMatrix(scaled_x, y), ridge=0.0)
+    scaled = logistic_fit(DesignMatrix(scaled_x, y))
     assert scaled.coefficients[1] == pytest.approx(base.coefficients[1] / c, rel=1e-6)
     assert scaled.mcfadden_pseudo_r2 == pytest.approx(base.mcfadden_pseudo_r2,
                                                       abs=1e-10)
@@ -210,7 +213,7 @@ def test_logistic_converges_with_gradient_below_tol():
     x = rng.normal(size=(1000, 1))
     p = 1.0 / (1.0 + np.exp(-(0.2 + x[:, 0])))
     y = (rng.random(1000) < p).astype(float)
-    fit = logistic_fit(DesignMatrix(x, y), ridge=1e-6, tol=1e-8)
+    fit = logistic_fit(DesignMatrix(x, y))
     assert fit.converged
     beta = np.array(fit.coefficients)
     xb = np.column_stack([np.ones(1000), x])
