@@ -156,7 +156,8 @@ def cmd_simulate(config_path, out_dir, seed_override=None) -> int:
         Panel("Cumulative exposures", ticks, output.cumulative_exposures.tolist(),
               y_label="exposures"),
     ])
-    (out / "timeseries.svg").write_text(svg)
+    with open(out / "timeseries.svg", "w", encoding="ascii", newline="") as fh:
+        fh.write(svg)
     return 0
 
 
@@ -212,7 +213,8 @@ def cmd_analyze(log_path, bin_width, out_dir, sim_timeseries=None) -> int:
                      x_label=f"tick (bin width {bin_width})", y_label="hits")
         right = Panel("Simulation: cumulative exposures", *series,
                       y_label="exposures")
-        (out / "comparison.svg").write_text(render_time_series_svg([left, right]))
+        with open(out / "comparison.svg", "w", encoding="ascii", newline="") as fh:
+            fh.write(render_time_series_svg([left, right]))
     return 0
 
 

@@ -19,7 +19,9 @@ phase precedes the share phase).  Re-exposure of an infected pair resets
 the timer by default (`reinfection_resets_timer`).  The share and recovery
 phases are whole-tick array passes, and every phase appends its events for
 the tick to the `EventLog` as one column block, the layout that
-`logio.write_lines` writes and `logio.read_columns` reads.
+`logio.write_lines` writes and `logio.read_columns` reads;
+`SimOutput.write_event_log` hands the blocks to `write_lines` on a binary
+file.
 """
 
 from __future__ import annotations
@@ -329,12 +331,11 @@ class WorldState:
     def _infect(self, new_keys: np.ndarray):
         """Infect the pairs `new_keys` (sorted, none infected yet) this tick."""
         m = self.config.max_memes
-        at = np.searchsorted(self.keys, new_keys)
-        expiry = np.full(len(new_keys), self.tick + self.config.infection_duration_ticks)
-        self.keys = np.insert(self.keys, at, new_keys)
-        self.expiry = np.insert(self.expiry, at, expiry)
-        self.probs = np.insert(self.probs, at,
-                               self._share_probs(new_keys // m, new_keys % m))
+        self.keys, self.expiry, self.probs = _insert(
+            np.searchsorted(self.keys, new_keys),
+            (self.keys, new_keys),
+            (self.expiry, self.tick + self.config.infection_duration_ticks),
+            (self.probs, self._share_probs(new_keys // m, new_keys % m)))
 
     def _share_probs(self, agents: np.ndarray, meme_ids: np.ndarray) -> np.ndarray:
         """Vectorized share probabilities for (agent, meme) pairs.
@@ -350,6 +351,24 @@ class WorldState:
         z = z + model.w_relevance * feats[:, 1]
         z = z + model.w_selfref * feats[:, 2]
         return sigmoid_array(z)
+
+
+def _insert(slots, *columns):
+    """np.insert(array, slots, values) for each (array, values) pair of
+    `columns`, all of one length, with the new positions found once.
+    Values at equal slots keep their given order."""
+    order = np.argsort(slots, kind="stable")
+    at = np.empty(len(slots), dtype=np.int64)
+    at[order] = slots[order] + np.arange(len(slots))
+    keep = np.ones(len(columns[0][0]) + len(slots), dtype=bool)
+    keep[at] = False
+    merged = []
+    for array, values in columns:
+        out = np.empty(len(keep), dtype=array.dtype)
+        out[at] = values
+        out[keep] = array
+        merged.append(out)
+    return merged
 
 
 def init_world(config: SimConfig, traj: Trajectory | None = None) -> WorldState:
@@ -455,14 +474,16 @@ def share_step(world: WorldState) -> WorldState:
     infect[first_exposure[~known]] = True
 
     # Each INFECT goes after its EXPOSE, each SHARE before its pair's first
-    # exposure.  np.insert keeps the given order of equal slots, so an INFECT
+    # exposure.  _insert keeps the given order of equal slots, so an INFECT
     # that ends one pair stays ahead of the next pair's SHARE.
     slots = np.concatenate([np.flatnonzero(infect) + 1, first])
     n_infect = len(slots) - n_pairs
-    kinds = np.insert(np.full(n_exp, EventKind.EXPOSE, dtype=np.int8), slots,
-                      np.repeat([EventKind.INFECT, EventKind.SHARE], [n_infect, n_pairs]))
-    agents = np.insert(exposed, slots, np.concatenate([exposed[infect], sharers]))
-    event_memes = np.insert(exp_memes, slots, np.concatenate([exp_memes[infect], memes]))
+    kinds, agents, event_memes = _insert(
+        slots,
+        (np.full(n_exp, EventKind.EXPOSE, dtype=np.int8),
+         np.repeat([EventKind.INFECT, EventKind.SHARE], [n_infect, n_pairs])),
+        (exposed, np.concatenate([exposed[infect], sharers])),
+        (exp_memes, np.concatenate([exp_memes[infect], memes])))
     world.events.extend(world.tick, kinds, agents, event_memes)
     world.hits += np.bincount(exp_memes, minlength=m)
 
@@ -524,7 +545,7 @@ class SimOutput:
                                   agent_id=agent, meme_id=None if meme < 0 else meme)
 
     def write_event_log(self, path):
-        with open(path, "w", newline="") as fh:
+        with open(path, "wb") as fh:
             logio.write_lines(fh, self.events.blocks)
 
     def write_timeseries_csv(self, path):

@@ -223,9 +223,9 @@ def test_pipeline_closure(tmp_path):
             tick=rng.randrange(0, 10**6), kind=kind,
             agent_id=rng.randrange(0, 10**6),
             meme_id=None if kind is EventKind.RECRUIT else rng.randrange(0, 10**6)))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_records(buf, records)
-    lines = buf.getvalue().splitlines()
+    lines = buf.getvalue().decode("ascii").splitlines()
     bad = sum(logio.parse_line(line) != rec for line, rec in zip(lines, records))
     bad += abs(len(lines) - len(records))
     criterion("log line round trip over 10,000 records", bad == 0,

@@ -24,6 +24,7 @@ from memesim.decision import SharingModel
 from memesim.engine import (
     SimConfig,
     UniformGrid,
+    _insert,
     init_world,
     recovery_step,
     recruit_step,
@@ -225,6 +226,20 @@ def test_walk_stays_in_bounds_and_moves_step_size():
 # ---------------------------------------------------------------------------
 # share_step / recovery_step
 # ---------------------------------------------------------------------------
+
+def test_insert_matches_np_insert():
+    # Many slots tie, including at both ends, and dtypes differ per column.
+    rng = np.random.default_rng(6)
+    for n, k in ((0, 3), (5, 0), (10, 8), (50, 200)):
+        slots = rng.integers(0, n + 1, k)
+        columns = [(rng.integers(0, 100, n), rng.integers(0, 100, k)),
+                   (rng.random(n), rng.random(k)),
+                   (rng.integers(0, 6, n).astype(np.int8), rng.integers(0, 6, k))]
+        merged = _insert(slots, *columns)
+        for got, (array, values) in zip(merged, columns):
+            want = np.insert(array, slots, values)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 def test_no_infections_no_events():
     world = init_world(small_config())
@@ -542,9 +557,9 @@ def test_engine_matches_scalar_reference():
     for cfg in differential_configs():
         out = run(cfg)
         ref = ReferenceRun(cfg).run()
-        got = io.StringIO()
+        got = io.BytesIO()
         logio.write_lines(got, out.events.blocks)
-        got = got.getvalue().splitlines()
+        got = got.getvalue().decode("ascii").splitlines()
         want = [emit_line(rec).rstrip("\n") for rec in ref.events]
         same = got == want  # kept out of the assert: a diff of 10^5 lines is slow
         first = next((i for i, pair in enumerate(zip(got, want))
@@ -753,9 +768,13 @@ def test_share_exposes_a_neighbor_at_exactly_the_radius(pair):
 # ---------------------------------------------------------------------------
 
 def test_event_log_fast_writer_matches_emit_line(tmp_path):
-    out = run(small_config(horizon_ticks=60,
-                           sharing_model=SharingModel(-2.0, 0.4, 0.4, 0.2)))
-    path = tmp_path / "events.log"
-    out.write_event_log(path)
-    expected = "".join(emit_line(r) for r in out.event_records())
-    assert path.read_bytes() == expected.encode("ascii")
+    # 200 agents emit about 42k events in 110 blocks, so the writer joins
+    # blocks into chunks and ends a chunk inside a block.
+    for population in (60, 200):
+        out = run(small_config(population=population, horizon_ticks=60,
+                               sharing_model=SharingModel(-2.0, 0.4, 0.4, 0.2)))
+        path = tmp_path / f"events{population}.log"
+        out.write_event_log(path)
+        expected = "".join(emit_line(r) for r in out.event_records())
+        assert path.read_bytes() == expected.encode("ascii")
+    assert len(out.events) > 2 * logio._CHUNK_EVENTS

@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,9 +44,9 @@ def random_record(rng: random.Random) -> EventRecord:
 # ---------------------------------------------------------------------------
 
 def written(records) -> str:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_records(buf, records)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")
 
 
 def test_emit_example_line():
@@ -117,7 +118,7 @@ def test_file_round_trip(tmp_path):
     rng = random.Random(99)
     records = [random_record(rng) for _ in range(500)]
     path = tmp_path / "events.log"
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         write_records(fh, records)
     assert records_of(read_columns(path)) == records
     raw = path.read_bytes()
@@ -140,10 +141,104 @@ def test_column_blocks_round_trip(tmp_path_factory, blocks):
     # and read_columns gives back the records it wrote.
     records = [record for block in blocks for record in block]
     path = tmp_path_factory.mktemp("blocks") / "events.log"
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         logio.write_lines(fh, (columns_of(block) for block in blocks))
     assert path.read_bytes() == "".join(map(emit_line, records)).encode()
     assert records_of(read_columns(path)) == records
+
+
+# ---------------------------------------------------------------------------
+# Bulk writer: chunks of column blocks against the one-record oracle
+# ---------------------------------------------------------------------------
+
+CHUNK = logio._CHUNK_EVENTS
+
+
+def written_blocks(blocks) -> bytes:
+    buf = io.BytesIO()
+    logio.write_lines(buf, blocks)
+    return buf.getvalue()
+
+
+def emitted(blocks) -> bytes:
+    return "".join(map(emit_line, records_of(blocks))).encode("ascii")
+
+
+def random_block(rng, n, top=10**6, kinds_dtype=np.int64):
+    """n random events with numbers below `top`, as one column block."""
+    kinds = rng.integers(0, len(KINDS), n).astype(kinds_dtype)
+    memes = np.where(kinds == EventKind.RECRUIT, -1, rng.integers(0, top, n))
+    return rng.integers(0, top, n), kinds, rng.integers(0, top, n), memes
+
+
+def straddling_blocks():
+    rng = np.random.default_rng(1)
+    return [random_block(rng, n) for n in (CHUNK - 3, 7, CHUNK - 4, 4, 1, CHUNK)]
+
+
+def digit_width_blocks():
+    # Tick 9 -> 10, agent 99,999 -> 100,000 and meme 9 -> 10 alternate, so
+    # numbers are right-aligned in columns wider than themselves.
+    n = 1000
+    return [(np.resize([9, 10], n), np.resize([EventKind.EXPOSE, EventKind.SHARE], n),
+             np.resize([99_999, 100_000, 0], n), np.resize([9, 10, 0, 1], n))]
+
+
+def recruit_and_empty_blocks():
+    n = 50
+    empty = tuple(np.empty(0, dtype=np.int64) for _ in range(4))
+    recruits = (np.arange(n), np.full(n, EventKind.RECRUIT), np.arange(n) * 1000,
+                np.full(n, -1))
+    return [empty, recruits, empty, empty]
+
+
+def extreme_id_blocks():
+    # Ticks and memes of 19 digits, agents of 10 digits past uint32.
+    return [(np.array([0, INT64_MAX, 0, INT64_MAX]),
+             np.array([EventKind.RECRUIT, EventKind.RECRUIT, EventKind.EXPOSE,
+                       EventKind.RECOVER], dtype=np.int8),
+             np.array([0, 2**32, 10**10 - 1, 2**32 - 1]),
+             np.array([-1, -1, INT64_MAX, 0]))]
+
+
+@pytest.mark.parametrize("make_blocks", [
+    straddling_blocks,
+    lambda: [random_block(np.random.default_rng(2), 2 * CHUNK + 5)],
+    digit_width_blocks,
+    recruit_and_empty_blocks,
+    lambda: [tuple(np.empty(0, dtype=np.int64) for _ in range(4))],
+    lambda: [random_block(np.random.default_rng(3), n, kinds_dtype=np.int8)
+             for n in (100, CHUNK)],
+    extreme_id_blocks,
+], ids=["straddle-chunks", "block-larger-than-chunk", "digit-widths-change",
+        "all-recruit-and-empty", "only-empty", "int8-kinds", "ids-0-to-int64-max"])
+def test_writer_matches_emit_line(make_blocks):
+    # kinds are int64, as read_columns gives them, except where a case
+    # passes the engine's int8.
+    blocks = make_blocks()
+    assert written_blocks(blocks) == emitted(blocks)
+
+
+def test_writer_memory_does_not_grow_with_the_log():
+    # The writer's traced peak, beyond the bytes it has written, is one
+    # chunk's working set: it is the same for 50k events (four chunks) as
+    # for 400k.  io.BytesIO grows its buffer by up to an eighth of what it
+    # holds, so that slack is counted with the written bytes.
+    rng = np.random.default_rng(4)
+
+    def overhead(n):
+        blocks = [random_block(rng, 1000) for _ in range(n // 1000)]
+        buf = io.BytesIO()
+        tracemalloc.start()
+        try:
+            logio.write_lines(buf, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - len(buf.getvalue()) * 9 // 8
+
+    small, large = overhead(50_000), overhead(400_000)
+    assert large <= small + (512 << 10), (small, large)
 
 
 def test_kind_codes_are_pinned():
