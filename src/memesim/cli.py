@@ -1,8 +1,9 @@
 """Batch front door: simulate, sweep, fit, analyze.
 
 Exit codes are fixed for scripting: 0 success, 2 config violation (every
-violated field named), 3 I/O or memory failure, 4 data error from the stats
-or log layers (first token of the stderr line is a machine-readable reason).
+violated field named), 3 I/O or memory failure or a sweep worker process
+that died, 4 data error from the stats or log layers (first token of the
+stderr line is a machine-readable reason).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
@@ -166,22 +168,44 @@ def cmd_sweep(config_path, out_dir) -> int:
     if sweep is None:
         raise ConfigurationError("config has no sweep section", fields=("sweep",))
     out = _resolve_out_dir(out_dir, cfg_out)
+    # Imported here, so that simulate, fit and analyze do not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     axis_names, runs = sweep
+    configs = [run_cfg for _, run_cfg in runs]
+    groups = engine.trajectory_groups(configs)
     rows = [None] * len(runs)
-    for i, output in engine.run_many([run_cfg for _, run_cfg in runs]):
-        values, run_cfg = runs[i]
-        # The last cumulative exposure is total_hits, 0 at horizon 0.
-        summary = logio.hit_summary(output.hits[1], _SUMMARY_BIN_WIDTH)
-        rows[i] = values + [run_cfg.master_seed, summary["total_hits"],
-                            summary["max_hits"], summary["median_hits"]]
-        del output  # so the next lockstep group runs without these events
+    # Forked workers inherit the imported package: spawn or forkserver would
+    # re-import numpy in each, and re-run an unguarded __main__ of the caller.
+    with ProcessPoolExecutor(max_workers=min(len(groups), os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_sweep_hits, [configs[i] for i in members])
+                   for members in groups]
+        try:
+            for members, future in zip(groups, futures):
+                for i, hits in zip(members, future.result()):
+                    values, run_cfg = runs[i]
+                    rows[i] = values + [run_cfg.master_seed, *hits]
+        except BaseException:
+            for future in futures:
+                future.cancel()  # so that leaving the pool waits only for running groups
+            raise
 
     logio.write_csv(out / "sweep.csv",
                     ",".join(axis_names + ["seed", "final_cumulative_exposures",
                                            "max_hits", "median_hits"]) + "\n",
                     rows)
     return 0
+
+
+def _sweep_hits(configs) -> list:
+    """(total_hits, max_hits, median_hits) of each run of one trajectory
+    group: cmd_sweep's pool worker, so no event block crosses the pipe.
+    The last cumulative exposure is total_hits, 0 at horizon 0."""
+    summaries = (logio.hit_summary(output.hits[1], _SUMMARY_BIN_WIDTH)
+                 for output in engine.run_group(configs))
+    return [(s["total_hits"], s["max_hits"], s["median_hits"]) for s in summaries]
 
 
 def cmd_fit(data_path, model: str, out_path) -> int:
@@ -317,6 +341,13 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"memory-error: {exc}", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:
+        # A sweep worker that died (say, killed for memory) breaks the pool.
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"worker-error: a sweep worker process died: {exc}", file=sys.stderr)
         return 3
 
 

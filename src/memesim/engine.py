@@ -5,7 +5,7 @@ recovery -- so a run is fully determined by its config and master seed.
 Randomness is split across named streams (placement, walk, meme content,
 decisions, perception) so that, for example, changing the sharing model
 leaves agent trajectories untouched: every config with one `trajectory_key`
-walks one `Trajectory`, and `run_many` walks it once per tick for them all.
+walks one `Trajectory`, and `run_group` walks it once per tick for them all.
 
 Infection state is three aligned arrays on the world: `keys`, the sorted
 int64 pair keys ``agent * max_memes + meme`` (so key order is (agent,
@@ -565,24 +565,21 @@ def run(config: SimConfig) -> SimOutput:
     Pure function of the config: identical config and seed give a
     byte-identical event log.
     """
-    return next(run_many([config]))[1]
+    return run_group([config])[0]
 
 
-def run_many(configs):
-    """Yield (i, run(configs[i])) for every config.  Configs with one
-    trajectory_key run in lockstep, in groups of first-seen key order; a
-    group's outputs come when its longest horizon ends, and run_many holds
-    none of them while the next group runs."""
+def trajectory_groups(configs) -> list:
+    """The indices of `configs` grouped by trajectory_key, groups in
+    first-seen key order and indices ascending within each."""
     groups = {}
     for i, config in enumerate(configs):
         groups.setdefault(trajectory_key(config), []).append(i)
-    for members in groups.values():
-        yield from zip(members, _run_lockstep([configs[i] for i in members]))
+    return list(groups.values())
 
 
-def _run_lockstep(configs) -> list:
-    """run() of each config, walking their one Trajectory once per tick.
-    A shorter horizon is a prefix of the walk."""
+def run_group(configs) -> list:
+    """run() of each config, all of one trajectory_key, walking their one
+    Trajectory once per tick.  A shorter horizon is a prefix of the walk."""
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))

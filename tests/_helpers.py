@@ -1,6 +1,6 @@
 """Shared verification helpers: scalar oracles, the per-line log reader,
-the csv table reader, the SIS transition checker and a scalar reference
-engine.
+the csv table reader, the SIS transition checker, the serial sweep and a
+scalar reference engine.
 
 The oracles are the one-value-at-a-time forms of what the package computes
 in batches.  Tests compare the package against them; nothing in the
@@ -24,7 +24,13 @@ from memesim.core import (
     _to_normal,
     substream_seed,
 )
-from memesim.engine import UniformGrid, init_world, walk_step
+from memesim.engine import (
+    UniformGrid,
+    init_world,
+    run_group,
+    trajectory_groups,
+    walk_step,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +313,17 @@ def check_event_log(records, horizon=None):
             assert key in infected, f"event {i}: RECOVER of susceptible pair {key}"
             infected.remove(key)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Serial sweep
+# ---------------------------------------------------------------------------
+
+def run_many(configs):
+    """Yield (i, run(configs[i])) for every config, one trajectory group
+    after another in this process: the serial form of cmd_sweep's pool."""
+    for members in trajectory_groups(configs):
+        yield from zip(members, run_group([configs[i] for i in members]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, artifact schemas, pipeline closure."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import memesim
-from _helpers import records_of, table_dict
+from _helpers import records_of, run_many, table_dict
 from memesim import logio
 from memesim.cli import load_run_config, main
-from memesim.engine import SimConfig, run
+from memesim.engine import SimConfig, run, trajectory_groups
 from memesim.decision import SharingModel
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -306,6 +307,68 @@ def test_sweep_replicates_share_params_differ_by_seed(tmp_path):
     seeds = {r[1] for r in rows}
     assert params == {"0.5"}
     assert len(seeds) == 3
+
+
+def test_pool_sweep_matches_serial_sweep(tmp_path):
+    """More trajectory groups than CPUs, each with members that end at
+    different ticks: sweep.csv holds the rows of the serial sweep, in input
+    order, and no worker outlives the command."""
+    cpus = os.cpu_count() or 1
+    steps = [0.5 * (k + 1) for k in range(max(2, cpus // 3 + 1))]
+    cfg = write_config(tmp_path, _sweep_doc({"step_size": steps,
+                                             "horizon_ticks": [15, 40]}, 3))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+
+    _, runs = load_run_config(cfg)[1]
+    configs = [run_cfg for _, run_cfg in runs]
+    assert len(trajectory_groups(configs)) == 3 * len(steps) > cpus
+    rows = [None] * len(runs)
+    for i, output in run_many(configs):
+        values, run_cfg = runs[i]
+        summary = logio.hit_summary(output.hits[1], 10)
+        rows[i] = values + [run_cfg.master_seed, summary["total_hits"],
+                            summary["max_hits"], summary["median_hits"]]
+    assert sum(row[-3] for row in rows) > 0
+    logio.write_csv(tmp_path / "serial.csv",
+                    "step_size,horizon_ticks,seed,final_cumulative_exposures,"
+                    "max_hits,median_hits\n", rows)
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+# Runs `memesim sweep` with argv[2:] after making the worker of the group at
+# step_size 2.0 die (argv[1] == "exit", as an OOM kill would end it) or raise
+# MemoryError; then prints the children still alive.
+_FAILING_WORKER = """
+import multiprocessing, os, sys
+from memesim import cli, engine
+real = engine.run_group
+def run_group(configs):
+    if configs[0].step_size == 2.0:
+        if sys.argv[1] == "exit":
+            os._exit(1)
+        raise MemoryError("no room for the worlds")
+    return real(configs)
+engine.run_group = run_group
+code = cli.main(sys.argv[2:])
+print(multiprocessing.active_children())
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("how, reason", [("exit", "worker-error:"),
+                                         ("memory", "memory-error:")])
+def test_failing_sweep_worker_exits_3(tmp_path, how, reason):
+    cfg = write_config(tmp_path, _sweep_doc({"step_size": [1.0, 2.0, 3.0]}, 1))
+    out = tmp_path / "out"
+    proc = _run_python("-c", _FAILING_WORKER, how, "sweep", "--config", str(cfg),
+                       "--out", str(out), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(reason) and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "[]\n"
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_without_sweep_section_exits_2(tmp_path, capsys):
@@ -661,9 +724,10 @@ def test_golden_micro_analyze(tmp_path):
                 == (GOLDEN / "analyze" / name).read_bytes()), name
 
 
-def _run_python(*args, address_space=None, **env):
-    """`python args` in a child process, with `env` added to its environment
-    and at most `address_space` bytes of virtual memory if given."""
+def _run_python(*args, address_space=None, timeout=None, **env):
+    """`python args` in a child process, with `env` added to its environment,
+    at most `address_space` bytes of virtual memory and `timeout` seconds if
+    given."""
     # The child imports the same memesim as this process, installed or not.
     package_root = str(Path(memesim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
@@ -673,7 +737,7 @@ def _run_python(*args, address_space=None, **env):
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     # One BLAS thread keeps the child's address space small.
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=timeout,
                           preexec_fn=None if address_space is None else limit,
                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                                    **env))

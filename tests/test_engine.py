@@ -15,6 +15,7 @@ from _helpers import (
     neighbor_sets_bruteforce,
     perceive_features,
     records_of,
+    run_many,
     share_probability,
     table_dict,
     torus_distance,
@@ -29,9 +30,10 @@ from memesim.engine import (
     recovery_step,
     recruit_step,
     run,
-    run_many,
+    run_group,
     share_step,
     step,
+    trajectory_groups,
     walk_step,
 )
 from memesim import logio
@@ -604,6 +606,36 @@ def test_run_many_matches_run_per_member():
     # Every member that runs spreads its memes, so the comparison is not vacuous.
     assert all(out.cumulative_exposures[-1] > 0
                for i, out in pairs if group[i].horizon_ticks)
+
+
+def test_run_group_matches_reference_run():
+    # Each lockstep member, in member order, against the scalar reference
+    # engine, which walks a trajectory of its own.
+    group = lockstep_group()
+    outputs = run_group(group)
+    assert len(outputs) == len(group)
+    for cfg, out in zip(group, outputs):
+        ref = ReferenceRun(cfg).run()
+        assert records_of(out.events.blocks) == ref.events, cfg
+        assert list(out.currently_infected) == ref.currently_infected, cfg
+        assert list(out.cumulative_exposures) == ref.exposure_series, cfg
+        assert table_dict(out.hits) == {m: int(ref.world.hits[m])
+                                        for m in range(ref.world.meme_count)}, cfg
+
+
+def test_trajectory_groups_split_on_trajectory_fields_only():
+    base = small_config()
+    # Every trajectory field splits; the sharing model, radius, horizon,
+    # recruiting and infection fields do not.
+    configs = [base, replace(base, population=61), replace(base, step_size=1.5),
+               replace(base, neighbor_radius=3.0, horizon_ticks=9),
+               replace(base, world_width=21.0), replace(base, world_height=19.0),
+               replace(base, master_seed=8), replace(base, population=61, recruits=3),
+               replace(base, sharing_model=NEVER, infection_duration_ticks=2,
+                       recruit_batch_size=2, reinfection_resets_timer=False),
+               replace(base, step_size=1.5, perception_noise_sd=0.0)]
+    assert trajectory_groups(configs) == [[0, 3, 8], [1, 7], [2, 9], [4], [5], [6]]
+    assert trajectory_groups([]) == []
 
 
 @pytest.mark.parametrize("field, value", [
