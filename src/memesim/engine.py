@@ -22,6 +22,12 @@ the tick to the `EventLog` as one column block, the layout that
 `logio.write_lines` writes and `logio.read_columns` reads;
 `SimOutput.write_event_log` hands the blocks to `write_lines` on a binary
 file.
+
+A world is *quiet* once it has no infected pair and has recruited its full
+quota: every later phase is a no-op for it and its series stay constant.
+So `run_group` stops stepping it, pads its series to the horizon, and
+stops the walk once all its worlds are quiet; the walk stream is read by
+nothing else, so no event, series or hit can tell the skipped ticks apart.
 """
 
 from __future__ import annotations
@@ -579,13 +585,23 @@ def trajectory_groups(configs) -> list:
 
 def run_group(configs) -> list:
     """run() of each config, all of one trajectory_key, walking their one
-    Trajectory once per tick.  A shorter horizon is a prefix of the walk."""
+    Trajectory once per tick.  A member leaves the loop at its horizon or
+    once quiet, its series then padded with their last values, and the
+    walk stops when no member is left: a shorter run is a prefix of it."""
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))
         traj = worlds[-1].traj
     for tick in range(max(config.horizon_ticks for config in configs)):
-        step(*(world for world in worlds if tick < world.config.horizon_ticks))
+        live = [world for world in worlds if tick < world.config.horizon_ticks
+                and (len(world.keys) or world.meme_count < world.config.max_memes)]
+        if not live:
+            break
+        step(*live)
+    for world in worlds:
+        pad = world.config.horizon_ticks - len(world.infected_series)
+        world.infected_series += [len(world.keys)] * pad
+        world.exposure_series += [int(world.hits.sum())] * pad
     return [SimOutput(
         currently_infected=np.asarray(world.infected_series, dtype=np.int64),
         cumulative_exposures=np.asarray(world.exposure_series, dtype=np.int64),

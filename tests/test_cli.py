@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import memesim
 from _helpers import records_of, run_many, table_dict
-from memesim import logio
+from memesim import engine, logio
 from memesim.cli import load_run_config, main
 from memesim.engine import SimConfig, run, trajectory_groups
 from memesim.decision import SharingModel
@@ -71,6 +71,25 @@ def test_simulate_writes_all_artifacts(tmp_path):
                             "bin_width_ticks", "counted_kinds"}
     svg = (out / "timeseries.svg").read_text()
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("seed, ticks", [(13, 479), (7, 600)])
+def test_default_run_steps_until_quiet(tmp_path, monkeypatch, seed, ticks):
+    """At seed 13 the default world has no infected pair left and its quota
+    full from tick 479, so `step` stops there and timeseries.csv repeats the
+    last row's values; at seed 7 the memes take off and every tick runs."""
+    calls = []
+    real = engine.step
+    monkeypatch.setattr(engine, "step", lambda *worlds: calls.append(1) or real(*worlds))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "default.json"),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    assert len(calls) == ticks
+    rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+    assert len(rows) == 600
+    _, infected, final = rows[-1].split(",")
+    assert (infected == "0") == (ticks < 600)
+    assert rows[ticks:] == [f"{t},0,{final}" for t in range(ticks, 600)]
 
 
 def test_simulate_deterministic_artifacts(tmp_path):
@@ -321,20 +340,38 @@ def test_pool_sweep_matches_serial_sweep(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert multiprocessing.active_children() == []
 
-    _, runs = load_run_config(cfg)[1]
-    configs = [run_cfg for _, run_cfg in runs]
+    configs = [run_cfg for _, run_cfg in load_run_config(cfg)[1][1]]
     assert len(trajectory_groups(configs)) == 3 * len(steps) > cpus
+    assert (out / "sweep.csv").read_bytes() == _serial_sweep_csv(cfg, tmp_path)
+
+
+def _serial_sweep_csv(cfg, tmp_path):
+    """The sweep.csv bytes of the sweep in `cfg`, with its rows built from
+    the serial run_many; asserts that some run has hits."""
+    names, runs = load_run_config(cfg)[1]
     rows = [None] * len(runs)
-    for i, output in run_many(configs):
+    for i, output in run_many([run_cfg for _, run_cfg in runs]):
         values, run_cfg = runs[i]
         summary = logio.hit_summary(output.hits[1], 10)
         rows[i] = values + [run_cfg.master_seed, summary["total_hits"],
                             summary["max_hits"], summary["median_hits"]]
     assert sum(row[-3] for row in rows) > 0
     logio.write_csv(tmp_path / "serial.csv",
-                    "step_size,horizon_ticks,seed,final_cumulative_exposures,"
+                    ",".join(names) + ",seed,final_cumulative_exposures,"
                     "max_hits,median_hits\n", rows)
-    assert (out / "sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    return (tmp_path / "serial.csv").read_bytes()
+
+
+def test_sweep_of_quiet_worlds_matches_serial_sweep(tmp_path):
+    """Lockstep members that go quiet at tick 23 (one of them after
+    spreading), stop at horizon 0 or 10 first, or are still spreading at
+    horizon 80 give the rows of the serial sweep."""
+    axes = {"sharing_model.intercept": [-3.5, -3.0],
+            "infection_duration_ticks": [2, 7], "horizon_ticks": [0, 10, 80]}
+    cfg = write_config(tmp_path, _sweep_doc(axes, 2))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == _serial_sweep_csv(cfg, tmp_path)
 
 
 # Runs `memesim sweep` with argv[2:] after making the worker of the group at

@@ -1,5 +1,6 @@
 """Engine: tick phases, SIS bookkeeping, neighbor search, determinism."""
 
+import collections
 import io
 import math
 from dataclasses import replace
@@ -36,7 +37,7 @@ from memesim.engine import (
     trajectory_groups,
     walk_step,
 )
-from memesim import logio
+from memesim import engine, logio
 
 ALWAYS = SharingModel(1e6, 0.0, 0.0, 0.0)
 NEVER = SharingModel(-1e6, 0.0, 0.0, 0.0)
@@ -608,6 +609,16 @@ def test_run_many_matches_run_per_member():
                for i, out in pairs if group[i].horizon_ticks)
 
 
+def assert_matches_reference(cfg, out):
+    ref = ReferenceRun(cfg).run()
+    assert records_of(out.events.blocks) == ref.events, cfg
+    assert list(out.currently_infected) == ref.currently_infected, cfg
+    assert list(out.cumulative_exposures) == ref.exposure_series, cfg
+    assert table_dict(out.hits) == {m: int(ref.world.hits[m])
+                                    for m in range(ref.world.meme_count)}, cfg
+    return ref
+
+
 def test_run_group_matches_reference_run():
     # Each lockstep member, in member order, against the scalar reference
     # engine, which walks a trajectory of its own.
@@ -615,12 +626,80 @@ def test_run_group_matches_reference_run():
     outputs = run_group(group)
     assert len(outputs) == len(group)
     for cfg, out in zip(group, outputs):
-        ref = ReferenceRun(cfg).run()
-        assert records_of(out.events.blocks) == ref.events, cfg
-        assert list(out.currently_infected) == ref.currently_infected, cfg
-        assert list(out.cumulative_exposures) == ref.exposure_series, cfg
-        assert table_dict(out.hits) == {m: int(ref.world.hits[m])
-                                        for m in range(ref.world.meme_count)}, cfg
+        assert_matches_reference(cfg, out)
+
+
+@pytest.fixture
+def ticks_stepped(monkeypatch):
+    """How many ticks `step` ran each world for, keyed by id(world.config)."""
+    counts = collections.Counter()
+    real = engine.step
+
+    def counted(*worlds):
+        counts.update(id(world.config) for world in worlds)
+        return real(*worlds)
+
+    monkeypatch.setattr(engine, "step", counted)
+    return counts
+
+
+def quiet_tick(series, horizon):
+    """The ticks a world needs to be stepped for, from the series of a run
+    that walked every tick: up to its horizon, or to the first tick that
+    starts with no infected pair after its last infected tick (the last
+    recruit is infected at the end of its tick, so the quota is full)."""
+    last = max((t for t, n in enumerate(series) if n), default=-2)
+    return min(horizon, last + 2)
+
+
+def test_quiet_between_recruits_does_not_stop_early(ticks_stepped):
+    # Pairs last 3 ticks and recruits come every 12, so the world has no
+    # infected pair between recruits before its quota is full.
+    cfg = small_config(recruit_interval_ticks=12, infection_duration_ticks=3,
+                       sharing_model=SharingModel(-2.5, 0.5, 0.5, 0.25))
+    ref = assert_matches_reference(cfg, run(cfg))
+    last_recruit = (cfg.recruits - 1) * cfg.recruit_interval_ticks
+    assert 0 in ref.currently_infected[:last_recruit]
+    assert ref.world.hits.sum() > 0
+    stepped = ticks_stepped[id(cfg)]
+    assert (last_recruit < stepped == quiet_tick(ref.currently_infected, cfg.horizon_ticks)
+            < cfg.horizon_ticks)
+
+
+def quiet_group():
+    """Members of one trajectory that leave the lockstep loop at different
+    ticks: three go quiet before their horizons (one of them, with 2-tick
+    pairs, also between recruits), one stops at horizon 10 while still
+    recruiting, one at horizon 0, and one saturates and never goes quiet."""
+    base = small_config(horizon_ticks=60, sharing_model=SharingModel(-2.5, 0.5, 0.5, 0.25))
+    return [
+        replace(base, horizon_ticks=50, sharing_model=NEVER, infection_duration_ticks=7),
+        base,
+        replace(base, horizon_ticks=0),
+        replace(base, horizon_ticks=10),
+        replace(base, horizon_ticks=45, sharing_model=ALWAYS, neighbor_radius=3.0),
+        replace(base, horizon_ticks=70, sharing_model=NEVER, infection_duration_ticks=2),
+    ]
+
+
+def test_lockstep_members_go_quiet_independently(ticks_stepped):
+    group = quiet_group()
+    outputs = run_group(group)
+    stepped = [ticks_stepped[id(cfg)] for cfg in group]
+    for cfg, out in zip(group, outputs):
+        assert len(out.currently_infected) == len(out.cumulative_exposures) == cfg.horizon_ticks
+        want = run(cfg)
+        assert records_of(out.events.blocks) == records_of(want.events.blocks), cfg
+        assert np.array_equal(out.currently_infected, want.currently_infected), cfg
+        assert np.array_equal(out.cumulative_exposures, want.cumulative_exposures), cfg
+        assert table_dict(out.hits) == table_dict(want.hits), cfg
+        assert_matches_reference(cfg, out)
+    assert stepped == [quiet_tick(out.currently_infected, cfg.horizon_ticks)
+                       for cfg, out in zip(group, outputs)]
+    quiet = [n for cfg, n in zip(group, stepped) if n < cfg.horizon_ticks]
+    assert len(set(quiet)) == len(quiet) == 3
+    assert outputs[4].currently_infected[-1] > 0  # never quiet
+    assert run_group([group[2]])[0].currently_infected.shape == (0,)
 
 
 def test_trajectory_groups_split_on_trajectory_fields_only():
