@@ -20,8 +20,10 @@ the engine takes each tick's draws of a stream in one call.  Every mix64
 runs on ``uint64`` arrays, whose arithmetic wraps modulo 2**64.  All
 floating-point transcendentals are evaluated by numpy, whose ``log1p``,
 ``exp``, ``cos`` and ``sin`` (here, in decision and in the engine) may round
-according to the SIMD target it dispatches to; the determinism tests pin the
-bytes, under the default and a narrower dispatch, on the host that runs them.
+according to the SIMD target it dispatches to.  A one-ulp difference there
+can move a neighbour across the sharing radius or flip a share decision, and
+so change ``events.log``: the goldens pin its bytes only per host, under the
+default and a narrower dispatch on the host that runs the tests.
 """
 
 from __future__ import annotations

@@ -12,13 +12,16 @@ serializer, writes column blocks as bytes, a bounded chunk of events per
 numpy pass; parse_line defines the grammar one line at a time; and
 read_columns(path), the inverse of write_lines, gives back the written
 records as blocks.  Blank lines are skipped; `\n`, `\r\n` and `\r` all
-end a line when lines are numbered.
+end a line when lines are numbered.  read_columns keeps its array-speed
+parse of a block only when write_lines writes the parsed columns back as
+exactly that block; any other block is read by parse_line, line by line.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import re
+import warnings
 
 import numpy as np
 
@@ -29,16 +32,6 @@ _INT64_MAX = 2**63 - 1
 # read_columns reads this many bytes at a time, so its memory is bounded by
 # one block (plus the longest line) whatever the size of the log.
 _BLOCK_BYTES = 1 << 20
-
-# A grammar-valid line, as a whole line of a block.  It cannot span lines
-# and contains no \r, so a \r-ended line never matches.
-_LINE = re.compile(
-    rb'^\d+ \d+ "GET /(?:m/\d+)?" (?:'
-    + b"|".join(kind.name.encode() for kind in EventKind) + rb")$",
-    re.ASCII | re.MULTILINE)
-# A line of ASCII whitespace (the empty line after a final \n included),
-# which every reader skips as blank.
-_BLANK = re.compile(rb"^[ \t\x0b\x0c\r]*$", re.ASCII | re.MULTILINE)
 
 
 class LogParseError(InputError):
@@ -199,8 +192,10 @@ def read_columns(path):
     EventKind values and memes are -1 for RECRUIT.
 
     The file is read _BLOCK_BYTES at a time and cut after its last line end.
-    A LogParseError names the first bad line with its line number in the
-    whole file, exactly as parse_line reports it.
+    A block that write_lines writes back from its parsed columns is read at
+    array speed, any other by parse_line.  A LogParseError names the first
+    bad line with its line number in the whole file, exactly as parse_line
+    reports it.
     """
     lineno = 0
     with open(path, "rb") as fh:
@@ -225,36 +220,34 @@ def _count_lines(block: bytes) -> int:
 
 
 def _parse_block(block: bytes, lines_before: int):
-    """Columns of the lines in `block`, which follows `lines_before` lines."""
-    # Every piece between two \n must be a grammar-valid line or blank; the
-    # piece after a final \n is empty, and only _BLANK counts it.
-    pieces = block.count(b"\n") + 1
-    valid = len(_LINE.findall(block))
-    if (valid + block.endswith(b"\n") == pieces
-            or valid + len(_BLANK.findall(block)) == pieces):
-        columns = _columns_of_valid_lines(block, valid)
-        if columns is not None:
-            return columns
-    return _parse_block_by_line(block, lines_before)
+    """Columns of the lines in `block`, which follows `lines_before` lines.
 
-
-def _columns_of_valid_lines(block: bytes, valid: int):
-    """Columns of a block of `valid` grammar-valid lines and blank lines, or
-    None when a number is out of range or RECRUIT and bare root do not pair."""
+    The quick parse reads all the block's numbers at once; its columns are
+    kept only when they are in write_lines' domain and write_lines writes
+    them back as exactly `block`, where parse_line, write_lines' inverse,
+    gives the same.  Any other block goes to the line path.
+    """
     text = (block.replace(b' "GET /m/', b" ")
             .replace(b' "GET /"', b" -1")
             .replace(b'" ', b" "))
     for kind in EventKind:
         text = text.replace(kind.name.encode(), b"%d" % kind)
-    # fromstring saturates a number above the int64 range at the maximum,
-    # and reads a text of whitespace alone as one 0.
-    values = (np.fromstring(text, dtype=np.int64, sep=" ") if valid
-              else np.empty(0, dtype=np.int64)).reshape(valid, 4)
+    try:
+        # Text that fromstring cannot read to its end raises in numpy 2 and
+        # warns in numpy 1; reshape raises unless there are 4k numbers.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 4)
+    except (ValueError, DeprecationWarning):
+        return _parse_block_by_line(block, lines_before)
     ticks, agents, memes, kinds = values.T
-    recruit = kinds == EventKind.RECRUIT
-    if np.any((memes < 0) != recruit) or np.any(values == _INT64_MAX):
-        return None
-    return ticks, kinds, agents, memes
+    if (np.all((kinds >= 0) & (kinds < len(EventKind)))
+            and np.array_equal(memes < 0, kinds == EventKind.RECRUIT)):
+        written = io.BytesIO()
+        write_lines(written, [(ticks, kinds, agents, memes)])
+        if written.getvalue() == block:
+            return ticks, kinds, agents, memes
+    return _parse_block_by_line(block, lines_before)
 
 
 def _parse_block_by_line(block: bytes, lines_before: int):

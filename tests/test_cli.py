@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, artifact schemas, pipeline closure."""
 
+import faulthandler
 import json
 import multiprocessing
 import os
@@ -288,6 +289,26 @@ def test_simulate_without_out_anywhere_exits_2(tmp_path, capsys):
 # sweep
 # ---------------------------------------------------------------------------
 
+# A sweep whose worker pool deadlocks would hang the whole session, so each
+# in-process sweep that reaches the pool runs under a watchdog: past this
+# many seconds it prints every thread's stack and ends the session.
+SWEEP_WATCHDOG_S = 60
+
+
+@pytest.fixture
+def sweep(capfd):
+    """main(["sweep", ...]) under the watchdog; capture is off while it
+    runs, so the stacks reach the terminal."""
+    def run(cfg, out):
+        with capfd.disabled():
+            faulthandler.dump_traceback_later(SWEEP_WATCHDOG_S, exit=True)
+            try:
+                return main(["sweep", "--config", str(cfg), "--out", str(out)])
+            finally:
+                faulthandler.cancel_dump_traceback_later()
+    return run
+
+
 def _sweep_doc(axes, replicates):
     doc = dict(SMALL, horizon_ticks=40, population=120,
                world_width=18.0, world_height=18.0, recruits=6)
@@ -295,31 +316,31 @@ def _sweep_doc(axes, replicates):
     return doc
 
 
-def test_sweep_single_point(tmp_path):
+def test_sweep_single_point(tmp_path, sweep):
     cfg = write_config(tmp_path, _sweep_doc({"step_size": [1.0]}, 1))
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sweep(cfg, out) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == ("step_size,seed,final_cumulative_exposures,"
                         "max_hits,median_hits")
     assert len(lines) == 2
 
 
-def test_sweep_cross_product_counts(tmp_path):
+def test_sweep_cross_product_counts(tmp_path, sweep):
     axes = {"sharing_model.intercept": [-5.0, -4.0],
             "neighbor_radius": [2.0, 2.5, 3.0]}
     cfg = write_config(tmp_path, _sweep_doc(axes, 2))
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sweep(cfg, out) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("sharing_model.intercept,neighbor_radius,seed,")
     assert len(lines) == 1 + 2 * 3 * 2
 
 
-def test_sweep_replicates_share_params_differ_by_seed(tmp_path):
+def test_sweep_replicates_share_params_differ_by_seed(tmp_path, sweep):
     cfg = write_config(tmp_path, _sweep_doc({"step_size": [0.5]}, 3))
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sweep(cfg, out) == 0
     rows = [l.split(",") for l in
             (out / "sweep.csv").read_text().splitlines()[1:]]
     params = {r[0] for r in rows}
@@ -328,7 +349,7 @@ def test_sweep_replicates_share_params_differ_by_seed(tmp_path):
     assert len(seeds) == 3
 
 
-def test_pool_sweep_matches_serial_sweep(tmp_path):
+def test_pool_sweep_matches_serial_sweep(tmp_path, sweep):
     """More trajectory groups than CPUs, each with members that end at
     different ticks: sweep.csv holds the rows of the serial sweep, in input
     order, and no worker outlives the command."""
@@ -337,7 +358,7 @@ def test_pool_sweep_matches_serial_sweep(tmp_path):
     cfg = write_config(tmp_path, _sweep_doc({"step_size": steps,
                                              "horizon_ticks": [15, 40]}, 3))
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sweep(cfg, out) == 0
     assert multiprocessing.active_children() == []
 
     configs = [run_cfg for _, run_cfg in load_run_config(cfg)[1][1]]
@@ -362,7 +383,7 @@ def _serial_sweep_csv(cfg, tmp_path):
     return (tmp_path / "serial.csv").read_bytes()
 
 
-def test_sweep_of_quiet_worlds_matches_serial_sweep(tmp_path):
+def test_sweep_of_quiet_worlds_matches_serial_sweep(tmp_path, sweep):
     """Lockstep members that go quiet at tick 23 (one of them after
     spreading), stop at horizon 0 or 10 first, or are still spreading at
     horizon 80 give the rows of the serial sweep."""
@@ -370,7 +391,7 @@ def test_sweep_of_quiet_worlds_matches_serial_sweep(tmp_path):
             "infection_duration_ticks": [2, 7], "horizon_ticks": [0, 10, 80]}
     cfg = write_config(tmp_path, _sweep_doc(axes, 2))
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sweep(cfg, out) == 0
     assert (out / "sweep.csv").read_bytes() == _serial_sweep_csv(cfg, tmp_path)
 
 
@@ -703,34 +724,32 @@ def test_event_count_is_log_line_count(tmp_path):
     assert len(run(load_run_config(cfg)[0]).events) == lines > 0
 
 
-def test_golden_micro_sweep(tmp_path):
+def test_golden_micro_sweep(tmp_path, sweep):
     """Byte lock on sweep.csv: two intercepts by two replicates of the
     micro-run; two rows have a median_hits of the form k + 0.5."""
     doc = dict(MICRO, sweep={"axes": {"sharing_model.intercept": [-2.0, -1.0]},
                              "replicates": 2})
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sweep(cfg, out) == 0
     assert (out / "sweep.csv").read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
 
 
-def test_golden_small_sweep(tmp_path):
+def test_golden_small_sweep(tmp_path, sweep):
     """Byte lock on sweep.csv for configs/small.json: intercept by radius by
     two replicates, twelve runs that walk two trajectories in lockstep."""
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(CONFIGS / "small.json"),
-                 "--out", str(out)]) == 0
+    assert sweep(CONFIGS / "small.json", out) == 0
     assert (out / "sweep.csv").read_bytes() == (GOLDEN / "sweep_small.csv").read_bytes()
 
 
-def test_sweep_rows_match_simulate(tmp_path):
+def test_sweep_rows_match_simulate(tmp_path, sweep):
     """Each micro-sweep row holds what simulate writes for its point and seed.
     The step_size axis splits the runs into four trajectories."""
     doc = dict(MICRO, sweep={"axes": {"sharing_model.intercept": [-2.0, -1.0],
                                       "step_size": [1.0, 2.5]},
                              "replicates": 2})
-    assert main(["sweep", "--config", str(write_config(tmp_path, doc)),
-                 "--out", str(tmp_path / "sweep")]) == 0
+    assert sweep(write_config(tmp_path, doc), tmp_path / "sweep") == 0
     lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 2 * 2
     for i, line in enumerate(lines[1:]):

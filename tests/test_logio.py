@@ -4,6 +4,7 @@ import io
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,6 +498,50 @@ def test_error_past_first_block_keeps_global_line_number(tmp_path):
     assert str(err.value) == "line 100003: unknown event kind 'EXPOSEX'"
     path.write_bytes(b"\r\n\n" + good)
     assert records_of(read_columns(path)) == records
+
+
+def test_canonical_logs_take_the_quick_path(tmp_path, monkeypatch):
+    # What write_lines writes never reads line by line: not the golden log,
+    # nor one of several blocks with ids up to INT64_MAX.
+    def by_line(block, lines_before):
+        raise AssertionError(f"block after line {lines_before} read by line")
+    monkeypatch.setattr(logio, "_parse_block_by_line", by_line)
+    golden = Path(__file__).parent / "golden" / "events.log"
+    assert records_of(read_columns(golden)) == list(read_log(golden))
+
+    rng = np.random.default_rng(7)
+    blocks = [random_block(rng, 20_000, top=INT64_MAX) for _ in range(3)]
+    blocks += extreme_id_blocks()
+    path = tmp_path / "events.log"
+    with open(path, "wb") as fh:
+        logio.write_lines(fh, blocks)
+    assert path.stat().st_size > 3 * logio._BLOCK_BYTES
+    read = list(read_columns(path))
+    for column, got in zip(zip(*blocks), zip(*read)):
+        assert np.array_equal(np.concatenate(column), np.concatenate(got))
+
+
+@pytest.mark.parametrize("line", [
+    b'0 1 "GET /m/2" 9\n',                      # a kind code, not a name
+    b'0 1 "GET /" EXPOSE\n',                    # bare root, not RECRUIT
+    b'0 1 "GET /m/5" RECRUIT\n',                # RECRUIT with a meme
+    b'0 1 "GET /m/5 EXPOSE\n',                  # no closing quote
+    b'-1 1 "GET /m/5" EXPOSE\n',                # negative tick
+    b'0\t1 "GET /m/5" EXPOSE\n',                # tab separator
+    b'1e3 1 "GET /m/5" EXPOSE\n',               # exponent
+    b'007 1 "GET /m/05" CREATE\n',              # leading zeros
+    b'%d 1 "GET /m/5" EXPOSE\n' % 2**63,        # saturates in fromstring
+    b'%d 1 "GET /m/%d" EXPOSE\n' % (INT64_MAX, INT64_MAX),
+    b'0 1 "GET /m/5" EXPOSE 7\n',               # extra field
+    b'0 1 "GET /m/5" EXPOSE',                   # no final newline
+])
+def test_quick_parse_agrees_with_line_oracle(tmp_path, line):
+    # The quick parse reads these as numbers it must not keep, or keeps
+    # only what the line path gives; nothing but LogParseError escapes.
+    path = tmp_path / "events.log"
+    path.write_bytes(line)
+    assert (_outcome(lambda: records_of(read_columns(path)))
+            == _outcome(lambda: list(read_log(path))))
 
 
 def test_number_past_int64_is_rejected():
