@@ -11,10 +11,12 @@ request path is the bare site root: `"GET /"`.  write_lines, the one
 serializer, writes column blocks as bytes, a bounded chunk of events per
 numpy pass; parse_line defines the grammar one line at a time; and
 read_columns(path), the inverse of write_lines, gives back the written
-records as blocks.  Blank lines are skipped; `\n`, `\r\n` and `\r` all
-end a line when lines are numbered.  read_columns keeps its array-speed
+records as blocks.  A line ends at LF, and one CR right before the LF (or
+at the end of the file) belongs to the line end, so CRLF logs read too; a
+CR anywhere else is part of the line.  Blank lines are skipped.  read_columns keeps its array-speed
 parse of a block only when write_lines writes the parsed columns back as
-exactly that block; any other block is read by parse_line, line by line.
+exactly that block; any other block, a CRLF one included, is read by
+parse_line, line by line.
 """
 
 from __future__ import annotations
@@ -35,15 +37,14 @@ _BLOCK_BYTES = 1 << 20
 
 
 class LogParseError(InputError):
-    """A line violates the grammar; carries the line number and bad token."""
+    """A line violates the grammar; carries the line number."""
 
     reason = "parse-error"
 
-    def __init__(self, message, lineno=None, token=None):
+    def __init__(self, message, lineno=None):
         where = f"line {lineno}: " if lineno is not None else ""
         super().__init__(f"{where}{message}")
         self.lineno = lineno
-        self.token = token
 
 
 # ---------------------------------------------------------------------------
@@ -133,55 +134,53 @@ def _put_digits(out, values):
 
 
 def parse_line(line: str, lineno: int | None = None) -> EventRecord:
-    """Parse one log line (trailing LF optional); total over valid lines."""
+    """Parse one log line; total over valid lines.  The line end is
+    optional: a trailing LF is stripped, then one trailing CR."""
     if not line.isascii():
         # str.isdigit and int accept non-ASCII digits such as '²' and '٣'.
-        raise LogParseError("line is not ASCII", lineno, token=line.rstrip("\n"))
-    text = line[:-1] if line.endswith("\n") else line
+        raise LogParseError("line is not ASCII", lineno)
+    text = line.removesuffix("\n").removesuffix("\r")
     chunks = text.split('"')
     if len(chunks) != 3:
-        raise LogParseError("request must be a double-quoted token", lineno,
-                            token=text)
+        raise LogParseError("request must be a double-quoted token", lineno)
     head, request, tail = chunks
     head_fields = head.split(" ")
     if len(head_fields) != 3 or head_fields[2] != "":
         raise LogParseError(f"expected '<tick> <agent_id> ' before the request,"
-                            f" got {head!r}", lineno, token=head)
+                            f" got {head!r}", lineno)
     tick_s, agent_s = head_fields[0], head_fields[1]
     if not tick_s.isdigit():
-        raise LogParseError(f"tick must be an unsigned integer, got {tick_s!r}",
-                            lineno, token=tick_s)
+        raise LogParseError(f"tick must be an unsigned integer, got {tick_s!r}", lineno)
     if not agent_s.isdigit():
         raise LogParseError(f"agent_id must be an unsigned integer, got {agent_s!r}",
-                            lineno, token=agent_s)
+                            lineno)
     kind_s = tail[1:] if tail.startswith(" ") else None
     if not kind_s or " " in kind_s:
         raise LogParseError(f"expected ' <event_kind>' after the request, got {tail!r}",
-                            lineno, token=tail)
+                            lineno)
     kind = EventKind.__members__.get(kind_s)
     if kind is None:
-        raise LogParseError(f"unknown event kind {kind_s!r}", lineno, token=kind_s)
+        raise LogParseError(f"unknown event kind {kind_s!r}", lineno)
 
     meme_s = ""
     if request == "GET /":
         if kind is not EventKind.RECRUIT:
             raise LogParseError(f"bare-root request is only valid for RECRUIT,"
-                                f" got {kind_s}", lineno, token=request)
+                                f" got {kind_s}", lineno)
     elif request.startswith("GET /m/"):
         meme_s = request[len("GET /m/"):]
         if not meme_s.isdigit():
             raise LogParseError(f"meme_id must be an unsigned integer, got {meme_s!r}",
-                                lineno, token=meme_s)
+                                lineno)
         if kind is EventKind.RECRUIT:
-            raise LogParseError("RECRUIT records carry no meme path", lineno,
-                                token=request)
+            raise LogParseError("RECRUIT records carry no meme path", lineno)
     else:
-        raise LogParseError(f"malformed request {request!r}", lineno, token=request)
+        raise LogParseError(f"malformed request {request!r}", lineno)
     # Checked last, so a line that breaks the grammar elsewhere reports that.
     for name, digits in (("tick", tick_s), ("agent_id", agent_s), ("meme_id", meme_s)):
         if digits and int(digits) > _INT64_MAX:
             raise LogParseError(f"{name} must be at most {_INT64_MAX}, got {digits!r}",
-                                lineno, token=digits)
+                                lineno)
     return EventRecord(tick=int(tick_s), kind=kind, agent_id=int(agent_s),
                        meme_id=int(meme_s) if meme_s else None)
 
@@ -191,32 +190,24 @@ def read_columns(path):
     (ticks, kinds, agents, memes), the inverse of write_lines: kinds are
     EventKind values and memes are -1 for RECRUIT.
 
-    The file is read _BLOCK_BYTES at a time and cut after its last line end.
-    A block that write_lines writes back from its parsed columns is read at
-    array speed, any other by parse_line.  A LogParseError names the first
-    bad line with its line number in the whole file, exactly as parse_line
-    reports it.
+    The file is read _BLOCK_BYTES at a time and cut after its last LF, the
+    one line end.  A block that write_lines writes back from its parsed
+    columns is read at array speed, any other (a CRLF one included) by
+    parse_line.  A LogParseError names the first bad line with its line
+    number in the whole file, exactly as parse_line reports it.
     """
     lineno = 0
     with open(path, "rb") as fh:
         pending = b""
         while chunk := fh.read(_BLOCK_BYTES):
             pending += chunk
-            # A final \r may be the first half of a \r\n, so it waits.
-            cut = 1 + max(pending.rfind(b"\n"),
-                          pending.rfind(b"\r", 0, len(pending) - 1))
+            cut = 1 + pending.rfind(b"\n")
             if cut:
                 block, pending = pending[:cut], pending[cut:]
                 yield _parse_block(block, lineno)
-                lineno += _count_lines(block)
+                lineno += block.count(b"\n")
         if pending:
             yield _parse_block(pending, lineno)
-
-
-def _count_lines(block: bytes) -> int:
-    if b"\r" in block:
-        return len(block.splitlines())
-    return block.count(b"\n") + (not block.endswith(b"\n"))
 
 
 def _parse_block(block: bytes, lines_before: int):
@@ -254,8 +245,7 @@ def _parse_block_by_line(block: bytes, lines_before: int):
     """The same columns by parse_line, one line at a time: raises at the
     first bad line, and skips blank lines of any Unicode whitespace."""
     rows = []
-    for lineno, line in enumerate(block.splitlines(keepends=True),
-                                  start=lines_before + 1):
+    for lineno, line in enumerate(block.split(b"\n"), start=lines_before + 1):
         text = line.decode("utf-8", errors="surrogateescape")
         if text.strip() == "":
             continue

@@ -199,11 +199,13 @@ def parse_lines(lines):
 def read_log(path):
     """Stream records from a log file, one text line at a time.
 
-    Undecodable bytes become lone surrogates, so they fail parse_line's
-    ASCII check with a line number instead of a UnicodeDecodeError.
+    Lines end at LF alone and keep their line end, which parse_line strips
+    with one CR before it.  Undecodable bytes become lone surrogates, so
+    they fail parse_line's ASCII check with a line number instead of a
+    UnicodeDecodeError.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
-              newline="") as fh:
+              newline="\n") as fh:
         yield from parse_lines(fh)
 
 

@@ -95,7 +95,7 @@ def test_parse_rejects_malformed(line, token):
     assert err.value.lineno == 17
     assert "line 17" in str(err.value)
     if token is not None:
-        assert err.value.token == token
+        assert repr(token) in str(err.value)
 
 
 def test_parse_lines_reports_line_numbers(tmp_path):
@@ -382,11 +382,12 @@ def _outcome(read):
     try:
         return "ok", read()
     except LogParseError as exc:
-        return "error", (exc.lineno, exc.token, str(exc))
+        return "error", (exc.lineno, str(exc))
 
 
 # Mutations of a valid log, given as its lines (bytes, each LF-ended), a
-# line index and a hypothesis draw.
+# line index and a hypothesis draw.  A lone b"\r" (here and in "cr") is no
+# line end: it joins two lines, and both readers must make the same of that.
 BLANK_LINES = [b"\n", b"\r\n", b"\r", b"   \n", b"\t\x0b\x0c\n", b"  \r  \n",
                b"\x1c\n", "\u00a0\n".encode(), "\u3000\r\n".encode(), b"\r\r\n"]
 MUTATIONS = {
@@ -494,10 +495,39 @@ def test_error_past_first_block_keeps_global_line_number(tmp_path):
     with pytest.raises(LogParseError) as err:
         list(read_columns(path))
     assert err.value.lineno == 100_003
-    assert err.value.token == "EXPOSEX"
     assert str(err.value) == "line 100003: unknown event kind 'EXPOSEX'"
     path.write_bytes(b"\r\n\n" + good)
     assert records_of(read_columns(path)) == records
+
+
+GOLDEN_LOG = Path(__file__).parent / "golden" / "events.log"
+RECRUIT_LINE = b'0 1 "GET /" RECRUIT\n'
+EXPOSE_LINE = b'7 12 "GET /m/3" EXPOSE\n'
+
+
+@pytest.mark.parametrize("log,expected", [
+    # A CRLF log reads to the columns of the LF log.
+    (GOLDEN_LOG.read_bytes().replace(b"\n", b"\r\n"), GOLDEN_LOG.read_bytes()),
+    # One CR without an LF still ends the last line.
+    (RECRUIT_LINE + EXPOSE_LINE[:-1] + b"\r", RECRUIT_LINE + EXPOSE_LINE),
+    # CRLF-ended blank lines are skipped.
+    (RECRUIT_LINE + b"\r\n" + b"  \r  \n" + EXPOSE_LINE, RECRUIT_LINE + EXPOSE_LINE),
+    # A CR that no LF follows is part of the line, not a line end.
+    (RECRUIT_LINE + b"\r" + EXPOSE_LINE,
+     "line 2: tick must be an unsigned integer, got '\\r7'"),
+], ids=["crlf-golden", "cr-at-end", "crlf-blank", "lone-cr"])
+def test_line_ends_at_lf_with_one_optional_cr(tmp_path, log, expected):
+    path = tmp_path / "events.log"
+    path.write_bytes(log)
+    if isinstance(expected, str):
+        with pytest.raises(LogParseError) as err:
+            list(read_columns(path))
+        assert str(err.value) == expected
+        return
+    lf_path = tmp_path / "lf.log"
+    lf_path.write_bytes(expected)
+    for got, want in zip(zip(*read_columns(path)), zip(*read_columns(lf_path))):
+        assert np.array_equal(np.concatenate(got), np.concatenate(want))
 
 
 def test_canonical_logs_take_the_quick_path(tmp_path, monkeypatch):
@@ -506,8 +536,7 @@ def test_canonical_logs_take_the_quick_path(tmp_path, monkeypatch):
     def by_line(block, lines_before):
         raise AssertionError(f"block after line {lines_before} read by line")
     monkeypatch.setattr(logio, "_parse_block_by_line", by_line)
-    golden = Path(__file__).parent / "golden" / "events.log"
-    assert records_of(read_columns(golden)) == list(read_log(golden))
+    assert records_of(read_columns(GOLDEN_LOG)) == list(read_log(GOLDEN_LOG))
 
     rng = np.random.default_rng(7)
     blocks = [random_block(rng, 20_000, top=INT64_MAX) for _ in range(3)]
@@ -547,7 +576,7 @@ def test_quick_parse_agrees_with_line_oracle(tmp_path, line):
 def test_number_past_int64_is_rejected():
     with pytest.raises(LogParseError) as err:
         parse_line(f'{2**63} 12 "GET /m/3" EXPOSE', lineno=4)
-    assert err.value.lineno == 4 and err.value.token == str(2**63)
+    assert err.value.lineno == 4 and repr(str(2**63)) in str(err.value)
     assert parse_line(f'{INT64_MAX} 0 "GET /m/{INT64_MAX}" EXPOSE').meme_id == INT64_MAX
 
 
