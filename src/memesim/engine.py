@@ -19,15 +19,14 @@ phase precedes the share phase).  Re-exposure of an infected pair resets
 the timer by default (`reinfection_resets_timer`).  The share and recovery
 phases are whole-tick array passes, and every phase appends its events for
 the tick to the `EventLog` as one column block, the layout that
-`logio.write_lines` writes and `logio.read_columns` reads;
-`SimOutput.write_event_log` hands the blocks to `write_lines` on a binary
-file.
+`logio.write_lines` writes and `logio.read_columns` reads.  The blocks are
+a run's one record: its series and hits are counted from them at the end.
 
 A world is *quiet* once it has no infected pair and has recruited its full
-quota: every later phase is a no-op for it and its series stay constant.
-So `run_group` stops stepping it, pads its series to the horizon, and
-stops the walk once all its worlds are quiet; the walk stream is read by
-nothing else, so no event, series or hit can tell the skipped ticks apart.
+quota: every later phase is a no-op for it.  So `run_group` stops stepping
+it, and stops the walk once all its worlds are quiet.  The walk stream is
+read by nothing else, and a tick without events adds to no series or hit,
+so no artifact can tell the skipped ticks apart.
 """
 
 from __future__ import annotations
@@ -174,10 +173,11 @@ class EventLog:
         self.blocks = []
 
     def extend(self, tick: int, kinds, agents, memes):
-        """Append one tick's events as one block, kinds as int8.  The int64
-        `agents` and `memes` are kept, not copied: each phase passes arrays
-        it never changes again."""
-        self.blocks.append((np.full(len(kinds), tick, dtype=np.int64),
+        """Append one tick's events as one block, kinds as int8 and the tick
+        one int64 broadcast to the block's length.  The int64 `agents` and
+        `memes` are kept, not copied: each phase passes arrays it never
+        changes again."""
+        self.blocks.append((np.broadcast_to(np.int64(tick), len(kinds)),
                             np.asarray(kinds, dtype=np.int8), agents, memes))
 
     def __len__(self) -> int:
@@ -303,11 +303,9 @@ def trajectory_key(config: SimConfig) -> tuple:
 class WorldState:
     """Epidemic state of one run on its shared Trajectory `traj`; built by init_world."""
 
-    __slots__ = ("config", "traj", "tick", "recruited",
-                 "perception_seeds", "meme_latents", "meme_count",
-                 "keys", "expiry", "probs", "hits", "events",
-                 "placement", "meme_content", "decisions",
-                 "infected_series", "exposure_series")
+    __slots__ = ("config", "traj", "tick", "recruited", "perception_seeds",
+                 "meme_latents", "meme_count", "keys", "expiry", "probs", "events",
+                 "placement", "meme_content", "decisions")
 
     def __init__(self, config: SimConfig, traj: Trajectory):
         self.config = config
@@ -327,10 +325,7 @@ class WorldState:
         self.keys = np.empty(0, dtype=np.int64)
         self.expiry = np.empty(0, dtype=np.int64)
         self.probs = np.empty(0, dtype=np.float64)
-        self.hits = np.zeros(config.max_memes, dtype=np.int64)
         self.events = EventLog()
-        self.infected_series = []
-        self.exposure_series = []
 
     # -- internals ----------------------------------------------------------
 
@@ -491,7 +486,6 @@ def share_step(world: WorldState) -> WorldState:
         (exposed, np.concatenate([exposed[infect], sharers])),
         (exp_memes, np.concatenate([exp_memes[infect], memes])))
     world.events.extend(world.tick, kinds, agents, event_memes)
-    world.hits += np.bincount(exp_memes, minlength=m)
 
     if cfg.reinfection_resets_timer:
         world.expiry[at[known]] = world.tick + cfg.infection_duration_ticks
@@ -518,15 +512,13 @@ def recovery_step(world: WorldState) -> WorldState:
 
 def step(*worlds: WorldState):
     """One tick of worlds on one trajectory: recruit in each, one walk,
-    then share, recovery and the series snapshot in each."""
+    then share and recovery in each."""
     for world in worlds:
         recruit_step(world)
     walk_step(worlds[0])
     for world in worlds:
         share_step(world)
         recovery_step(world)
-        world.infected_series.append(len(world.keys))
-        world.exposure_series.append(int(world.hits.sum()))
         world.tick += 1
 
 
@@ -586,8 +578,8 @@ def trajectory_groups(configs) -> list:
 def run_group(configs) -> list:
     """run() of each config, all of one trajectory_key, walking their one
     Trajectory once per tick.  A member leaves the loop at its horizon or
-    once quiet, its series then padded with their last values, and the
-    walk stops when no member is left: a shorter run is a prefix of it."""
+    once quiet, and the walk stops when no member is left: a shorter run
+    is a prefix of it."""
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))
@@ -598,14 +590,18 @@ def run_group(configs) -> list:
         if not live:
             break
         step(*live)
-    for world in worlds:
-        pad = world.config.horizon_ticks - len(world.infected_series)
-        world.infected_series += [len(world.keys)] * pad
-        world.exposure_series += [int(world.hits.sum())] * pad
-    return [SimOutput(
-        currently_infected=np.asarray(world.infected_series, dtype=np.int64),
-        cumulative_exposures=np.asarray(world.exposure_series, dtype=np.int64),
-        hits=(np.arange(world.meme_count, dtype=np.int64),
-              world.hits[:world.meme_count]),
-        events=world.events,
-    ) for world in worlds]
+    return [_output(world) for world in worlds]
+
+
+def _output(world: WorldState) -> SimOutput:
+    """A finished world's output, series and hits counted from its blocks."""
+    infected, exposures = np.zeros((2, world.config.horizon_ticks), dtype=np.int64)
+    hits = np.zeros(world.meme_count, dtype=np.int64)
+    for ticks, kinds, _, memes in world.events.blocks:
+        n = np.bincount(kinds, minlength=len(EventKind))
+        exposures[ticks[0]] += n[EventKind.EXPOSE]
+        infected[ticks[0]] += n[EventKind.INFECT] - n[EventKind.RECOVER]
+        hits += np.bincount(memes[kinds == EventKind.EXPOSE], minlength=len(hits))
+    return SimOutput(currently_infected=np.cumsum(infected, out=infected),
+                     cumulative_exposures=np.cumsum(exposures, out=exposures),
+                     hits=(np.arange(len(hits), dtype=np.int64), hits), events=world.events)

@@ -8,6 +8,7 @@ analyzed access log next to a simulated exposure curve).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _COLOR = "#1f77b4"
@@ -44,11 +45,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
             step = mult * mag
             break
     first = step * (int(lo / step) if lo >= 0 else int(lo / step) - 1)
-    ticks = []
-    t = first
+    ticks, t = [], first
     while t <= hi + step * 1e-9:
         if t >= lo - step * 1e-9:
             ticks.append(t)
+        if t + step == t:   # the range is below the float spacing at t
+            break
         t += step
     return ticks
 
@@ -62,8 +64,9 @@ def _render_panel(panel: Panel, x_off: int, parts: list):
     xs, ys = panel.xs, panel.ys
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
     y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
+    # Past 2**53, x_lo + 1.0 can equal x_lo; a flat x axis is then one float step wide.
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     y_lo = min(y_lo, 0.0)

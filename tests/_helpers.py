@@ -338,8 +338,9 @@ class ReferenceRun:
     This is the share and recovery loop the engine ran before its infection
     state became arrays.  It borrows placement, the walk and the random
     streams from a real WorldState and its Trajectory, but keeps its own
-    infection dict, expiry buckets with lazy deletion and list of event
-    records.  Neighbors come from a brute-force torus scan and share
+    infection dict, expiry buckets with lazy deletion, list of event
+    records, hit counts and series, so it derives nothing from the engine's
+    event blocks.  Neighbors come from a brute-force torus scan and share
     probabilities from the scalar contract path (share_probability of
     perceive_features), so no grid or vectorized probability code is shared
     with the engine under test.
@@ -351,6 +352,7 @@ class ReferenceRun:
         self.infections = {}
         self.buckets = {}
         self.probs = {}
+        self.hits = np.zeros(config.max_memes, dtype=np.int64)
         self.cumulative_exposures = 0
         self.currently_infected = []
         self.exposure_series = []
@@ -426,7 +428,7 @@ class ReferenceRun:
             self.log(EventKind.SHARE, sharer, meme_id)
             for b in self.neighbors(sharer):
                 self.log(EventKind.EXPOSE, b, meme_id)
-                world.hits[meme_id] += 1
+                self.hits[meme_id] += 1
                 self.cumulative_exposures += 1
                 key = (b, meme_id)
                 if key not in self.infections:

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -669,6 +670,30 @@ def test_analyze_malformed_sim_timeseries_exits_4(tmp_path, capsys, rows, lineno
     # The echo of the rejected line is cut, however long the line.
     assert len(err.replace(str(series), "")) < 200
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("rows", [
+    b"1000000000000000000,0,2\n",
+    b"1000000000000000000,0,1\n1000000000000000001,0,2\n",
+], ids=["one-row", "one-tick-apart"])
+def test_analyze_plots_ticks_one_float_step_apart(tmp_path, rows):
+    # Past 2**53 a tick step of one is below the float spacing, so an axis
+    # range there once stopped the chart's tick loop from advancing: the
+    # analyze ran on, and one row ran out of memory.  A child process with
+    # a timeout and a memory bound turns a hang into a quick failure.
+    log = tmp_path / "events.log"
+    log.write_bytes(b'1000000000000000000 1 "GET /m/0" CREATE\n'
+                    b'1000000000000000000 2 "GET /m/0" EXPOSE\n'
+                    b'1000000000000000001 3 "GET /m/0" EXPOSE\n')
+    series = tmp_path / "timeseries.csv"
+    series.write_bytes(b"tick,currently_infected,cumulative_exposures\n" + rows)
+    out = tmp_path / "o"
+    result = _run_python("-m", "memesim.cli", "analyze", "--log", str(log), "--out", str(out),
+                         "--sim-timeseries", str(series), address_space=2 ** 30, timeout=60)
+    assert result.returncode == 0, result.stderr
+    svg = ET.fromstring((out / "comparison.svg").read_text(encoding="ascii"))
+    labels = [el.text for el in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert "1000000000000000000" in labels
 
 
 # ---------------------------------------------------------------------------

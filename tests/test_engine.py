@@ -384,26 +384,6 @@ def test_run_determinism_byte_identical_logs(tmp_path):
     assert table_dict(other.hits) != table_dict(out1.hits)
 
 
-def test_series_consistent_with_event_log():
-    cfg = small_config(horizon_ticks=100,
-                       sharing_model=SharingModel(-2.0, 0.4, 0.4, 0.2))
-    out = run(cfg)
-    expose_by_tick = np.zeros(cfg.horizon_ticks, dtype=np.int64)
-    for rec in out.event_records():
-        if rec.kind is EventKind.EXPOSE:
-            expose_by_tick[rec.tick] += 1
-    assert np.array_equal(np.cumsum(expose_by_tick), out.cumulative_exposures)
-    # Hits table equals EXPOSE counts per meme, zero-filled for every CREATE.
-    per_meme = {}
-    for rec in out.event_records():
-        if rec.kind is EventKind.CREATE:
-            per_meme.setdefault(rec.meme_id, 0)
-        elif rec.kind is EventKind.EXPOSE:
-            per_meme[rec.meme_id] = per_meme.get(rec.meme_id, 0) + 1
-    assert per_meme == table_dict(out.hits)
-    assert np.all(out.currently_infected >= 0)
-
-
 def test_transition_checker_on_randomized_small_worlds():
     rng = np.random.default_rng(99)
     for trial in range(6):
@@ -570,7 +550,7 @@ def test_engine_matches_scalar_reference():
         assert same, f"{cfg}: first differing event {first}"
         assert list(out.currently_infected) == ref.currently_infected, cfg
         assert list(out.cumulative_exposures) == ref.exposure_series, cfg
-        assert table_dict(out.hits) == {m: int(ref.world.hits[m])
+        assert table_dict(out.hits) == {m: int(ref.hits[m])
                                         for m in range(ref.world.meme_count)}, cfg
 
 
@@ -614,7 +594,7 @@ def assert_matches_reference(cfg, out):
     assert records_of(out.events.blocks) == ref.events, cfg
     assert list(out.currently_infected) == ref.currently_infected, cfg
     assert list(out.cumulative_exposures) == ref.exposure_series, cfg
-    assert table_dict(out.hits) == {m: int(ref.world.hits[m])
+    assert table_dict(out.hits) == {m: int(ref.hits[m])
                                     for m in range(ref.world.meme_count)}, cfg
     return ref
 
@@ -660,7 +640,7 @@ def test_quiet_between_recruits_does_not_stop_early(ticks_stepped):
     ref = assert_matches_reference(cfg, run(cfg))
     last_recruit = (cfg.recruits - 1) * cfg.recruit_interval_ticks
     assert 0 in ref.currently_infected[:last_recruit]
-    assert ref.world.hits.sum() > 0
+    assert ref.hits.sum() > 0
     stepped = ticks_stepped[id(cfg)]
     assert (last_recruit < stepped == quiet_tick(ref.currently_infected, cfg.horizon_ticks)
             < cfg.horizon_ticks)
@@ -700,6 +680,39 @@ def test_lockstep_members_go_quiet_independently(ticks_stepped):
     assert len(set(quiet)) == len(quiet) == 3
     assert outputs[4].currently_infected[-1] > 0  # never quiet
     assert run_group([group[2]])[0].currently_infected.shape == (0,)
+
+
+@pytest.mark.parametrize("cfg", [
+    small_config(horizon_ticks=100, sharing_model=SharingModel(-2.0, 0.4, 0.4, 0.2)),
+    *quiet_group(),
+], ids=["mixed", "no-sharing-50", "quiet-60", "horizon-0", "horizon-10", "saturated-45",
+        "no-sharing-70"])
+def test_series_consistent_with_event_log(cfg, tmp_path):
+    # Both series and the hits table are counts of the written events.log:
+    # cumulative EXPOSEs, cumulative INFECTs minus RECOVERs, EXPOSEs per
+    # meme zero-filled for every CREATE.  Worlds that go quiet early, one
+    # that never does and one at horizon 0 (quiet_group) cover the ticks
+    # that no phase is stepped for.
+    out = run(cfg)
+    out.write_event_log(tmp_path / "events.log")
+    exposed = np.zeros(cfg.horizon_ticks, dtype=np.int64)
+    infected = np.zeros(cfg.horizon_ticks, dtype=np.int64)
+    per_meme = {}
+    for rec in records_of(logio.read_columns(tmp_path / "events.log")):
+        if rec.kind is EventKind.CREATE:
+            per_meme.setdefault(rec.meme_id, 0)
+        elif rec.kind is EventKind.EXPOSE:
+            exposed[rec.tick] += 1
+            per_meme[rec.meme_id] += 1
+        elif rec.kind is EventKind.INFECT:
+            infected[rec.tick] += 1
+        elif rec.kind is EventKind.RECOVER:
+            infected[rec.tick] -= 1
+    assert out.cumulative_exposures.dtype == out.currently_infected.dtype == np.int64
+    assert np.array_equal(np.cumsum(exposed), out.cumulative_exposures)
+    assert np.array_equal(np.cumsum(infected), out.currently_infected)
+    assert per_meme == table_dict(out.hits)
+    assert np.all(out.currently_infected >= 0)
 
 
 def test_trajectory_groups_split_on_trajectory_fields_only():
