@@ -117,7 +117,9 @@ class StreamLabel(Enum):
 class RngStream:
     """One named, seeded draw sequence.
 
-    Not shareable between concurrent callers: each thread owns its stream.
+    Not shareable between concurrent callers: one thread draws from a
+    stream at a time.  While `engine.run_group` runs its draw-ahead helper,
+    that thread alone draws from the walk stream.
     """
 
     __slots__ = ("_state",)

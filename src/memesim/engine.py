@@ -27,13 +27,27 @@ quota: every later phase is a no-op for it.  So `run_group` stops stepping
 it, and stops the walk once all its worlds are quiet.  The walk stream is
 read by nothing else, and a tick without events adds to no series or hit,
 so no artifact can tell the skipped ticks apart.
+
+The walk is drawn one tick ahead.  While `run_group` steps tick t, a helper
+thread that it owns draws tick t+1's angles and their sines (`_draw`), and
+`walk_step` takes them; numpy releases the GIL in these loops, so the work
+spreads over two CPUs.  No byte changes: the walk stream is counter-based
+and read by nothing but the walk, so the helper draws the values that
+`walk_step` would draw inline, in the same order.  The helper lives only
+inside one `run_group` call and is joined before it returns or raises, so
+no forked process or later call inherits it.  It draws a tick only once
+`walk_step` has taken the one before, so it is at most one tick ahead; a
+world that goes quiet leaves that tick unused.  With one usable CPU the
+walk is drawn inline.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -280,10 +294,11 @@ class Trajectory:
     """Agent positions and the walk stream, fixed by trajectory_key alone.
 
     `placement` is the placement stream just past the positions' draws;
-    each world on the trajectory copies it for its recruits.
+    each world on the trajectory copies it for its recruits.  `ahead` is
+    the `_DrawAhead` helper while `run_group` runs one, else None.
     """
 
-    __slots__ = ("xs", "ys", "walk", "placement")
+    __slots__ = ("xs", "ys", "walk", "placement", "ahead")
 
     def __init__(self, config: SimConfig):
         n = config.population
@@ -292,6 +307,7 @@ class Trajectory:
         u = self.placement.uniforms(2 * n)
         self.xs = wrap_coords(u[0::2] * config.world_width, config.world_width)
         self.ys = wrap_coords(u[1::2] * config.world_height, config.world_height)
+        self.ahead = None
 
 
 def trajectory_key(config: SimConfig) -> tuple:
@@ -420,19 +436,64 @@ def recruit_step(world: WorldState) -> WorldState:
 
 def walk_step(world: WorldState) -> WorldState:
     """Move every agent of world.traj one fixed-length step in a uniformly
-    random direction (for every world on that trajectory)."""
+    random direction (for every world on that trajectory): the angles and
+    their sines come from run_group's helper when it runs one, else from
+    `_draw` on this thread."""
     cfg, traj = world.config, world.traj
-    theta = traj.walk.uniforms(cfg.population)
-    theta *= 2.0 * np.pi
+    theta, dy = traj.ahead.take() if traj.ahead else _draw(traj.walk, cfg.population)
     dx = np.cos(theta)
     dx *= cfg.step_size
     dx += traj.xs
     traj.xs = wrap_coords(dx, cfg.world_width)
-    dy = np.sin(theta)
     dy *= cfg.step_size
     dy += traj.ys
     traj.ys = wrap_coords(dy, cfg.world_height)
     return world
+
+
+def _draw(walk: RngStream, n: int):
+    """One tick's walk angles and their sines, from the walk stream."""
+    theta = walk.uniforms(n)
+    theta *= 2.0 * np.pi
+    return theta, np.sin(theta)
+
+
+class _DrawAhead:
+    """A helper thread that runs `_draw` for up to `ticks` ticks, each one
+    as soon as `take` has returned the one before."""
+
+    def __init__(self, walk: RngStream, n: int, ticks: int):
+        # Imported here, so that `import memesim` does not pay for it.
+        from queue import SimpleQueue
+
+        self._wanted, self._drawn = SimpleQueue(), SimpleQueue()
+        self._wanted.put(True)
+        self._thread = threading.Thread(target=self._serve, args=(walk, n, ticks),
+                                        name="memesim-walk", daemon=True)
+        self._thread.start()
+
+    def _serve(self, walk, n, ticks):
+        for _ in range(ticks):
+            if not self._wanted.get():
+                return
+            try:
+                self._drawn.put(_draw(walk, n))
+            except BaseException as exc:  # raised again by take(), on the caller's thread
+                self._drawn.put(exc)
+                return
+
+    def take(self):
+        """The next tick's (theta, sin theta); raises what the draw raised."""
+        drawn = self._drawn.get()
+        if isinstance(drawn, BaseException):
+            raise drawn
+        self._wanted.put(True)
+        return drawn
+
+    def close(self):
+        """Stop the helper and wait for it to end."""
+        self._wanted.put(False)
+        self._thread.join()
 
 
 def share_step(world: WorldState) -> WorldState:
@@ -579,18 +640,35 @@ def run_group(configs) -> list:
     """run() of each config, all of one trajectory_key, walking their one
     Trajectory once per tick.  A member leaves the loop at its horizon or
     once quiet, and the walk stops when no member is left: a shorter run
-    is a prefix of it."""
+    is a prefix of it.  With more than one usable CPU, a helper thread
+    draws the walk one tick ahead for the length of the call."""
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))
         traj = worlds[-1].traj
-    for tick in range(max(config.horizon_ticks for config in configs)):
-        live = [world for world in worlds if tick < world.config.horizon_ticks
-                and (len(world.keys) or world.meme_count < world.config.max_memes)]
-        if not live:
-            break
-        step(*live)
+    horizon = max(config.horizon_ticks for config in configs)
+    if horizon and _usable_cpus() > 1:
+        traj.ahead = _DrawAhead(traj.walk, configs[0].population, horizon)
+    try:
+        for tick in range(horizon):
+            live = [world for world in worlds if tick < world.config.horizon_ticks
+                    and (len(world.keys) or world.meme_count < world.config.max_memes)]
+            if not live:
+                break
+            step(*live)
+    finally:
+        if traj.ahead:
+            traj.ahead.close()
+            traj.ahead = None
     return [_output(world) for world in worlds]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _output(world: WorldState) -> SimOutput:

@@ -39,17 +39,23 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / target
+    if math.isinf(raw):     # hi - lo overflows
+        raw = hi / target - lo / target
     mag = 10.0 ** int(f"{raw:e}".split("e")[1])
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = step * (int(lo / step) if lo >= 0 else int(lo / step) - 1)
+    below = int(lo / step) if lo >= 0 else int(lo / step) - 1
+    first = step * below
+    if math.isinf(first):   # the multiple below lo overflows; the next is >= lo
+        first = step * (below + 1)
     ticks, t = [], first
     while t <= hi + step * 1e-9:
         if t >= lo - step * 1e-9:
             ticks.append(t)
-        if t + step == t:   # the range is below the float spacing at t
+        # t + step is t (the range is below the float spacing at t) or overflows.
+        if not t < t + step < math.inf:
             break
         t += step
     return ticks

@@ -1,6 +1,6 @@
 """Shared verification helpers: scalar oracles, the per-line log reader,
-the csv table reader, the SIS transition checker, the serial sweep and a
-scalar reference engine.
+the csv table reader, the SIS transition checker, the serial sweep, a
+scalar reference engine and a child-process runner.
 
 The oracles are the one-value-at-a-time forms of what the package computes
 in batches.  Tests compare the package against them; nothing in the
@@ -9,9 +9,14 @@ package calls them.
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import memesim
 from memesim import logio, stats
 from memesim.core import (
     MASK64,
@@ -446,3 +451,26 @@ class ReferenceRun:
         for key in sorted({k for k in due if self.infections.get(k) == tick}):
             del self.infections[key]
             self.log(EventKind.RECOVER, *key)
+
+
+# ---------------------------------------------------------------------------
+# Child processes
+# ---------------------------------------------------------------------------
+
+def run_python(*args, address_space=None, timeout=None, **env):
+    """`python args` in a child process, with `env` added to its environment,
+    at most `address_space` bytes of virtual memory and `timeout` seconds if
+    given."""
+    # The child imports the same memesim as this process, installed or not.
+    package_root = str(Path(memesim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+    def limit():
+        import resource  # POSIX only, as is preexec_fn
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+    # One BLAS thread keeps the child's address space small.
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=None if address_space is None else limit,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+                                   **env))

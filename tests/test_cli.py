@@ -4,8 +4,6 @@ import faulthandler
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -14,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import memesim
-from _helpers import records_of, run_many, table_dict
+from _helpers import records_of, run_many, run_python, table_dict
 from memesim import engine, logio
 from memesim.cli import load_run_config, main
 from memesim.engine import SimConfig, run, trajectory_groups
@@ -421,7 +418,7 @@ sys.exit(code)
 def test_failing_sweep_worker_exits_3(tmp_path, how, reason):
     cfg = write_config(tmp_path, _sweep_doc({"step_size": [1.0, 2.0, 3.0]}, 1))
     out = tmp_path / "out"
-    proc = _run_python("-c", _FAILING_WORKER, how, "sweep", "--config", str(cfg),
+    proc = run_python("-c", _FAILING_WORKER, how, "sweep", "--config", str(cfg),
                        "--out", str(out), timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(reason) and proc.stderr.count("\n") == 1, proc.stderr
@@ -688,7 +685,7 @@ def test_analyze_plots_ticks_one_float_step_apart(tmp_path, rows):
     series = tmp_path / "timeseries.csv"
     series.write_bytes(b"tick,currently_infected,cumulative_exposures\n" + rows)
     out = tmp_path / "o"
-    result = _run_python("-m", "memesim.cli", "analyze", "--log", str(log), "--out", str(out),
+    result = run_python("-m", "memesim.cli", "analyze", "--log", str(log), "--out", str(out),
                          "--sim-timeseries", str(series), address_space=2 ** 30, timeout=60)
     assert result.returncode == 0, result.stderr
     svg = ET.fromstring((out / "comparison.svg").read_text(encoding="ascii"))
@@ -805,28 +802,9 @@ def test_golden_micro_analyze(tmp_path):
                 == (GOLDEN / "analyze" / name).read_bytes()), name
 
 
-def _run_python(*args, address_space=None, timeout=None, **env):
-    """`python args` in a child process, with `env` added to its environment,
-    at most `address_space` bytes of virtual memory and `timeout` seconds if
-    given."""
-    # The child imports the same memesim as this process, installed or not.
-    package_root = str(Path(memesim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-
-    def limit():
-        import resource  # POSIX only, as is preexec_fn
-        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
-    # One BLAS thread keeps the child's address space small.
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, timeout=timeout,
-                          preexec_fn=None if address_space is None else limit,
-                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
-                                   **env))
-
-
 def _run_cli(*args, address_space=None):
-    """`python -m memesim.cli args` in a child process (see _run_python)."""
-    return _run_python("-m", "memesim.cli", *args, address_space=address_space)
+    """`python -m memesim.cli args` in a child process (see run_python)."""
+    return run_python("-m", "memesim.cli", *args, address_space=address_space)
 
 
 def test_module_entrypoint_smoke(tmp_path):
@@ -872,7 +850,7 @@ def test_artifacts_do_not_depend_on_simd_dispatch(tmp_path):
     runs = [["simulate", "--config", str(write_config(tmp_path, MICRO)),
              "--out", str(tmp_path / "micro")],
             default + ["--out", str(tmp_path / "narrow")]]
-    proc = _run_python("-c", _SIMD_CHILD, json.dumps(runs), umath.__name__,
+    proc = run_python("-c", _SIMD_CHILD, json.dumps(runs), umath.__name__,
                        NPY_DISABLE_CPU_FEATURES=" ".join(wide))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0], "still_on": []}

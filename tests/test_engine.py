@@ -1,8 +1,11 @@
 """Engine: tick phases, SIS bookkeeping, neighbor search, determinism."""
 
 import collections
+import faulthandler
 import io
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +20,7 @@ from _helpers import (
     perceive_features,
     records_of,
     run_many,
+    run_python,
     share_probability,
     table_dict,
     torus_distance,
@@ -713,6 +717,173 @@ def test_series_consistent_with_event_log(cfg, tmp_path):
     assert np.array_equal(np.cumsum(infected), out.currently_infected)
     assert per_meme == table_dict(out.hits)
     assert np.all(out.currently_infected >= 0)
+
+
+# ---------------------------------------------------------------------------
+# The walk drawn one tick ahead
+# ---------------------------------------------------------------------------
+
+# A helper that is never joined would hang the session, so each test that
+# starts one runs under a watchdog: past this many seconds it prints every
+# thread's stack and ends the session.
+HELPER_WATCHDOG_S = 60
+
+
+@pytest.fixture
+def draw_threads(monkeypatch, capfd):
+    """The thread ident behind each walk draw, in draw order, with two
+    usable CPUs assumed so that run_group starts its helper on any host;
+    capture is off while the test runs, so the watchdog's stacks reach the
+    terminal."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    idents = []
+    real = engine._draw
+
+    def recorded(walk, n):
+        idents.append(threading.get_ident())
+        return real(walk, n)
+
+    monkeypatch.setattr(engine, "_draw", recorded)
+    with capfd.disabled():
+        faulthandler.dump_traceback_later(HELPER_WATCHDOG_S, exit=True)
+        try:
+            yield idents
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
+
+def inline_output(cfg):
+    """The output of `cfg` from a bare step loop over its whole horizon,
+    the walk drawn inline on this thread."""
+    world = init_world(cfg)
+    for _ in range(cfg.horizon_ticks):
+        step(world)
+    return engine._output(world)
+
+
+def assert_same_output(out, want):
+    assert len(out.events.blocks) == len(want.events.blocks)
+    for block, want_block in zip(out.events.blocks, want.events.blocks):
+        for column, want_column in zip(block, want_block):
+            assert column.dtype == want_column.dtype
+            assert np.array_equal(column, want_column)
+    assert np.array_equal(out.currently_infected, want.currently_infected)
+    assert np.array_equal(out.cumulative_exposures, want.cumulative_exposures)
+    assert all(np.array_equal(a, b) for a, b in zip(out.hits, want.hits))
+
+
+@pytest.mark.parametrize("lockstep", [False, True])
+def test_helper_changes_no_byte(draw_threads, ticks_stepped, lockstep):
+    # The quiet_group worlds, one horizon-0 world among them, through
+    # run_group (one at a time, or as one lockstep group) against a bare
+    # step loop that walks every tick inline.
+    group = quiet_group()
+    outputs = (run_group(group) if lockstep
+               else [run_group([cfg])[0] for cfg in group])
+    helper_draws = len(draw_threads)
+    assert threading.get_ident() not in draw_threads
+    for cfg, out in zip(group, outputs):
+        assert_same_output(out, inline_output(cfg))
+    assert set(draw_threads[helper_draws:]) == {threading.get_ident()}
+    # At most one tick ahead: each run draws the ticks it walked, plus one
+    # when it stopped before the horizon.
+    stepped = [ticks_stepped[id(cfg)] for cfg in group]
+    if lockstep:
+        walked = max(stepped)
+        assert helper_draws == walked + (walked < max(cfg.horizon_ticks for cfg in group))
+    else:
+        assert helper_draws == sum(n + (n < cfg.horizon_ticks) for cfg, n in zip(group, stepped))
+        assert any(n < cfg.horizon_ticks for cfg, n in zip(group, stepped))
+
+
+def test_run_group_joins_its_helper(draw_threads):
+    before = threading.enumerate()
+    run_group(lockstep_group())
+    assert threading.enumerate() == before
+    assert draw_threads and threading.get_ident() not in draw_threads
+
+
+def test_run_group_joins_its_helper_when_a_phase_raises(draw_threads, monkeypatch):
+    real = engine.share_step
+
+    def failing(world):
+        if world.tick == 5:
+            raise ArithmeticError("share phase failed at tick 5")
+        return real(world)
+
+    monkeypatch.setattr(engine, "share_step", failing)
+    before = threading.enumerate()
+    with pytest.raises(ArithmeticError, match="tick 5"):
+        run_group([small_config()])
+    assert threading.enumerate() == before
+    # Ticks 0..5 were walked, and tick 6 drawn ahead.
+    assert len(draw_threads) == 7
+
+
+def test_concurrent_run_groups_keep_their_bytes(draw_threads):
+    # Every quiet_group world in a run_group call of its own, all at once:
+    # six callers and their helpers switching every microsecond, each
+    # helper drawing only for its own call.
+    group = quiet_group()
+    outputs = {}
+
+    def run_one(i):
+        outputs[i] = run_group([group[i]])[0]
+
+    threads = [threading.Thread(target=run_one, args=(i,)) for i in range(len(group))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(HELPER_WATCHDOG_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(outputs) == list(range(len(group)))
+    for i, cfg in enumerate(group):
+        assert_same_output(outputs[i], inline_output(cfg))
+    assert len(set(draw_threads)) > 1
+
+
+def test_one_usable_cpu_walks_inline(draw_threads, monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    cfg = small_config()
+    before = threading.enumerate()
+    assert_same_output(run_group([cfg])[0], inline_output(cfg))
+    assert threading.enumerate() == before
+    assert set(draw_threads) == {threading.get_ident()}
+
+
+# Makes the helper's fifth draw raise, then prints what run_group raised,
+# from which thread the draw raised it, and how many threads are left.
+_FAILING_DRAW = """
+import threading
+from memesim import engine
+from memesim.engine import SimConfig, run_group
+engine._usable_cpus = lambda: 2
+real, drawn = engine._draw, []
+def draw(walk, n):
+    drawn.append(threading.current_thread() is threading.main_thread())
+    if len(drawn) == 5:
+        raise FloatingPointError("walk draw failed")
+    return real(walk, n)
+engine._draw = draw
+try:
+    run_group([SimConfig(population=40, recruits=4, horizon_ticks=30,
+                         world_width=10.0, world_height=10.0)])
+except FloatingPointError as exc:
+    print(exc, any(drawn), threading.active_count())
+"""
+
+
+def test_helper_draw_error_is_raised_by_run_group():
+    # In a child process, so that a helper that hangs ends in the timeout
+    # rather than hanging the session.
+    proc = run_python("-c", _FAILING_DRAW, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "walk draw failed False 1\n"
 
 
 def test_trajectory_groups_split_on_trajectory_fields_only():

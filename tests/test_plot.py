@@ -1,6 +1,10 @@
 """SVG chart emitter: determinism and layout basics."""
 
+import math
+import sys
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from memesim.plot import Panel, render_time_series_svg, _nice_ticks
 
@@ -38,3 +42,15 @@ def test_nice_ticks_cover_range():
         # At least one tick near each end of the span.
         assert min(ticks) <= lo + (max(hi, lo + 1) - lo)
         assert len(ticks) <= 12
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (-sys.float_info.max, sys.float_info.max),
+                                    (-1.7e308, 2.0e307), (-5.0, sys.float_info.max)])
+def test_nice_ticks_cover_ranges_wider_than_the_largest_float(lo, hi):
+    # hi - lo overflows to inf, whose "e" format has no exponent.
+    ticks = _nice_ticks(lo, hi)
+    assert 2 <= len(ticks) <= 12, ticks
+    assert all(math.isfinite(t) and lo <= t <= hi for t in ticks), ticks
+    assert ticks == sorted(ticks)
+    step = ticks[1] - ticks[0]
+    assert ticks[0] - lo < step and hi - ticks[-1] < step
