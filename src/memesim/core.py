@@ -117,9 +117,9 @@ class StreamLabel(Enum):
 class RngStream:
     """One named, seeded draw sequence.
 
-    Not shareable between concurrent callers: one thread draws from a
-    stream at a time.  While `engine.run_group` runs its draw-ahead helper,
-    that thread alone draws from the walk stream.
+    Not shareable between concurrent callers: each thread owns its stream.
+    The walk helper of `engine.run_group` draws from none; the calling
+    thread draws the walk a tick early and hands the helper the values.
     """
 
     __slots__ = ("_state",)

@@ -28,24 +28,26 @@ it, and stops the walk once all its worlds are quiet.  The walk stream is
 read by nothing else, and a tick without events adds to no series or hit,
 so no artifact can tell the skipped ticks apart.
 
-The walk is drawn one tick ahead.  While `run_group` steps tick t, a helper
-thread that it owns draws tick t+1's angles and their sines (`_draw`), and
-`walk_step` takes them; numpy releases the GIL in these loops, so the work
-spreads over two CPUs.  No byte changes: the walk stream is counter-based
-and read by nothing but the walk, so the helper draws the values that
-`walk_step` would draw inline, in the same order.  The helper lives only
-inside one `run_group` call and is joined before it returns or raises, so
-no forked process or later call inherits it.  It draws a tick only once
-`walk_step` has taken the one before, so it is at most one tick ahead; a
-world that goes quiet leaves that tick unused.  With one usable CPU the
-walk is drawn inline.
+The walk's angles are worked out one tick ahead.  While `run_group` steps
+tick t, a helper thread that it owns turns tick t+1's walk draws into
+angles and their sines (`_angles`), and `walk_step` takes them; numpy
+releases the GIL in these loops, so the work spreads over two CPUs.  The
+draws stay on the calling thread: `walk_step` draws tick t+1's as it takes
+tick t's, so the helper reads no stream, and a profiler that wraps the
+package's functions sees each draw on the calling thread, every one after
+the first inside `walk_step`.  No byte changes: the walk stream is
+counter-based and read by nothing but the walk, so drawing it a tick early
+gives the same values in the same order, and the helper runs the `_angles`
+that `walk_step` runs inline.  The helper lives only inside one
+`run_group` call and is joined before it returns or raises, so no forked
+process or later call inherits it.  It is at most one tick ahead; a run
+that stops before its horizon leaves that tick's draws unused.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import os
 import sys
 import threading
 from dataclasses import dataclass, fields
@@ -438,9 +440,12 @@ def walk_step(world: WorldState) -> WorldState:
     """Move every agent of world.traj one fixed-length step in a uniformly
     random direction (for every world on that trajectory): the angles and
     their sines come from run_group's helper when it runs one, else from
-    `_draw` on this thread."""
+    `_angles` on this thread."""
     cfg, traj = world.config, world.traj
-    theta, dy = traj.ahead.take() if traj.ahead else _draw(traj.walk, cfg.population)
+    if traj.ahead:
+        theta, dy = traj.ahead.take()
+    else:
+        theta, dy = _angles(traj.walk.uniforms(cfg.population))
     dx = np.cos(theta)
     dx *= cfg.step_size
     dx += traj.xs
@@ -451,48 +456,54 @@ def walk_step(world: WorldState) -> WorldState:
     return world
 
 
-def _draw(walk: RngStream, n: int):
-    """One tick's walk angles and their sines, from the walk stream."""
-    theta = walk.uniforms(n)
-    theta *= 2.0 * np.pi
-    return theta, np.sin(theta)
+def _angles(draws: np.ndarray):
+    """One tick's walk angles, scaled in place from its walk draws, and
+    their sines."""
+    draws *= 2.0 * np.pi
+    return draws, np.sin(draws)
 
 
 class _DrawAhead:
-    """A helper thread that runs `_draw` for up to `ticks` ticks, each one
-    as soon as `take` has returned the one before."""
+    """A helper thread that runs `_angles` on the next tick's walk draws
+    while the caller runs this one.
+
+    The caller draws from the walk stream, the helper never does: `take`
+    returns one tick's angles and sines and draws the next tick's, up to
+    `ticks` draws in all, so the helper is at most one tick ahead.
+    """
 
     def __init__(self, walk: RngStream, n: int, ticks: int):
         # Imported here, so that `import memesim` does not pay for it.
         from queue import SimpleQueue
 
-        self._wanted, self._drawn = SimpleQueue(), SimpleQueue()
-        self._wanted.put(True)
-        self._thread = threading.Thread(target=self._serve, args=(walk, n, ticks),
-                                        name="memesim-walk", daemon=True)
+        self._walk, self._n, self._left = walk, n, ticks - 1
+        self._draws, self._done = SimpleQueue(), SimpleQueue()
+        self._draws.put(walk.uniforms(n))
+        self._thread = threading.Thread(target=self._serve, name="memesim-walk",
+                                        daemon=True)
         self._thread.start()
 
-    def _serve(self, walk, n, ticks):
-        for _ in range(ticks):
-            if not self._wanted.get():
-                return
+    def _serve(self):
+        while (draws := self._draws.get()) is not None:
             try:
-                self._drawn.put(_draw(walk, n))
+                self._done.put(_angles(draws))
             except BaseException as exc:  # raised again by take(), on the caller's thread
-                self._drawn.put(exc)
+                self._done.put(exc)
                 return
 
     def take(self):
-        """The next tick's (theta, sin theta); raises what the draw raised."""
-        drawn = self._drawn.get()
-        if isinstance(drawn, BaseException):
-            raise drawn
-        self._wanted.put(True)
-        return drawn
+        """This tick's (theta, sin theta); raises what `_angles` raised."""
+        angles = self._done.get()
+        if isinstance(angles, BaseException):
+            raise angles
+        if self._left:
+            self._left -= 1
+            self._draws.put(self._walk.uniforms(self._n))
+        return angles
 
     def close(self):
         """Stop the helper and wait for it to end."""
-        self._wanted.put(False)
+        self._draws.put(None)
         self._thread.join()
 
 
@@ -640,14 +651,14 @@ def run_group(configs) -> list:
     """run() of each config, all of one trajectory_key, walking their one
     Trajectory once per tick.  A member leaves the loop at its horizon or
     once quiet, and the walk stops when no member is left: a shorter run
-    is a prefix of it.  With more than one usable CPU, a helper thread
-    draws the walk one tick ahead for the length of the call."""
+    is a prefix of it.  For the length of the call a helper thread works
+    out the walk's angles one tick ahead (see the module docstring)."""
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))
         traj = worlds[-1].traj
     horizon = max(config.horizon_ticks for config in configs)
-    if horizon and _usable_cpus() > 1:
+    if horizon:
         traj.ahead = _DrawAhead(traj.walk, configs[0].population, horizon)
     try:
         for tick in range(horizon):
@@ -661,14 +672,6 @@ def run_group(configs) -> list:
             traj.ahead.close()
             traj.ahead = None
     return [_output(world) for world in worlds]
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 def _output(world: WorldState) -> SimOutput:

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from _helpers import (
     table_dict,
     torus_distance,
 )
-from memesim.core import ConfigurationError, EventKind
+from memesim.core import ConfigurationError, EventKind, RngStream
 from memesim.decision import SharingModel
 from memesim.engine import (
     SimConfig,
@@ -730,24 +731,28 @@ HELPER_WATCHDOG_S = 60
 
 
 @pytest.fixture
-def draw_threads(monkeypatch, capfd):
-    """The thread ident behind each walk draw, in draw order, with two
-    usable CPUs assumed so that run_group starts its helper on any host;
-    capture is off while the test runs, so the watchdog's stacks reach the
-    terminal."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    idents = []
-    real = engine._draw
+def walk_threads(monkeypatch, capfd):
+    """The thread behind each `_angles` call and behind each draw from any
+    stream, in call order (threads, not idents: an ended thread's ident is
+    reused); capture is off while the test runs, so the watchdog's stacks
+    reach the terminal."""
+    angles, draws = [], []
+    real_angles, real_uniforms = engine._angles, RngStream.uniforms
 
-    def recorded(walk, n):
-        idents.append(threading.get_ident())
-        return real(walk, n)
+    def recorded_angles(u):
+        angles.append(threading.current_thread())
+        return real_angles(u)
 
-    monkeypatch.setattr(engine, "_draw", recorded)
+    def recorded_uniforms(stream, n):
+        draws.append(threading.current_thread())
+        return real_uniforms(stream, n)
+
+    monkeypatch.setattr(engine, "_angles", recorded_angles)
+    monkeypatch.setattr(RngStream, "uniforms", recorded_uniforms)
     with capfd.disabled():
         faulthandler.dump_traceback_later(HELPER_WATCHDOG_S, exit=True)
         try:
-            yield idents
+            yield SimpleNamespace(angles=angles, draws=draws)
         finally:
             faulthandler.cancel_dump_traceback_later()
 
@@ -773,37 +778,40 @@ def assert_same_output(out, want):
 
 
 @pytest.mark.parametrize("lockstep", [False, True])
-def test_helper_changes_no_byte(draw_threads, ticks_stepped, lockstep):
+def test_helper_changes_no_byte(walk_threads, ticks_stepped, lockstep):
     # The quiet_group worlds, one horizon-0 world among them, through
     # run_group (one at a time, or as one lockstep group) against a bare
     # step loop that walks every tick inline.
+    main = threading.current_thread()
     group = quiet_group()
     outputs = (run_group(group) if lockstep
                else [run_group([cfg])[0] for cfg in group])
-    helper_draws = len(draw_threads)
-    assert threading.get_ident() not in draw_threads
+    helper_ticks = len(walk_threads.angles)
+    assert main not in walk_threads.angles
+    # The helper draws from no stream: every draw is this thread's.
+    assert set(walk_threads.draws) == {main}
     for cfg, out in zip(group, outputs):
         assert_same_output(out, inline_output(cfg))
-    assert set(draw_threads[helper_draws:]) == {threading.get_ident()}
+    assert set(walk_threads.angles[helper_ticks:]) == {main}
     # At most one tick ahead: each run draws the ticks it walked, plus one
     # when it stopped before the horizon.
     stepped = [ticks_stepped[id(cfg)] for cfg in group]
     if lockstep:
         walked = max(stepped)
-        assert helper_draws == walked + (walked < max(cfg.horizon_ticks for cfg in group))
+        assert helper_ticks == walked + (walked < max(cfg.horizon_ticks for cfg in group))
     else:
-        assert helper_draws == sum(n + (n < cfg.horizon_ticks) for cfg, n in zip(group, stepped))
+        assert helper_ticks == sum(n + (n < cfg.horizon_ticks) for cfg, n in zip(group, stepped))
         assert any(n < cfg.horizon_ticks for cfg, n in zip(group, stepped))
 
 
-def test_run_group_joins_its_helper(draw_threads):
+def test_run_group_joins_its_helper(walk_threads):
     before = threading.enumerate()
     run_group(lockstep_group())
     assert threading.enumerate() == before
-    assert draw_threads and threading.get_ident() not in draw_threads
+    assert walk_threads.angles and threading.current_thread() not in walk_threads.angles
 
 
-def test_run_group_joins_its_helper_when_a_phase_raises(draw_threads, monkeypatch):
+def test_run_group_joins_its_helper_when_a_phase_raises(walk_threads, monkeypatch):
     real = engine.share_step
 
     def failing(world):
@@ -817,13 +825,13 @@ def test_run_group_joins_its_helper_when_a_phase_raises(draw_threads, monkeypatc
         run_group([small_config()])
     assert threading.enumerate() == before
     # Ticks 0..5 were walked, and tick 6 drawn ahead.
-    assert len(draw_threads) == 7
+    assert len(walk_threads.angles) == 7
 
 
-def test_concurrent_run_groups_keep_their_bytes(draw_threads):
+def test_concurrent_run_groups_keep_their_bytes(walk_threads):
     # Every quiet_group world in a run_group call of its own, all at once:
     # six callers and their helpers switching every microsecond, each
-    # helper drawing only for its own call.
+    # helper working only for its own call.
     group = quiet_group()
     outputs = {}
 
@@ -841,49 +849,41 @@ def test_concurrent_run_groups_keep_their_bytes(draw_threads):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert set(walk_threads.draws) == set(threads)
+    assert set(walk_threads.angles).isdisjoint(threads)
     assert sorted(outputs) == list(range(len(group)))
     for i, cfg in enumerate(group):
         assert_same_output(outputs[i], inline_output(cfg))
-    assert len(set(draw_threads)) > 1
 
 
-def test_one_usable_cpu_walks_inline(draw_threads, monkeypatch):
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
-    cfg = small_config()
-    before = threading.enumerate()
-    assert_same_output(run_group([cfg])[0], inline_output(cfg))
-    assert threading.enumerate() == before
-    assert set(draw_threads) == {threading.get_ident()}
-
-
-# Makes the helper's fifth draw raise, then prints what run_group raised,
-# from which thread the draw raised it, and how many threads are left.
-_FAILING_DRAW = """
+# Makes the helper's fifth `_angles` call raise, then prints what run_group
+# raised, whether any call ran on the main thread, and how many threads are
+# left.
+_FAILING_ANGLES = """
 import threading
 from memesim import engine
 from memesim.engine import SimConfig, run_group
-engine._usable_cpus = lambda: 2
-real, drawn = engine._draw, []
-def draw(walk, n):
-    drawn.append(threading.current_thread() is threading.main_thread())
-    if len(drawn) == 5:
-        raise FloatingPointError("walk draw failed")
-    return real(walk, n)
-engine._draw = draw
+real, calls = engine._angles, []
+def angles(u):
+    calls.append(threading.current_thread() is threading.main_thread())
+    if len(calls) == 5:
+        raise FloatingPointError("walk angles failed")
+    return real(u)
+engine._angles = angles
 try:
     run_group([SimConfig(population=40, recruits=4, horizon_ticks=30,
                          world_width=10.0, world_height=10.0)])
 except FloatingPointError as exc:
-    print(exc, any(drawn), threading.active_count())
+    print(exc, any(calls), threading.active_count())
 """
 
 
-def test_helper_draw_error_is_raised_by_run_group():
+def test_helper_error_is_raised_by_run_group():
     # In a child process, so that a helper that hangs ends in the timeout
     # rather than hanging the session.
-    proc = run_python("-c", _FAILING_DRAW, timeout=60)
+    proc = run_python("-c", _FAILING_ANGLES, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "walk draw failed False 1\n"
+    assert proc.stdout == "walk angles failed False 1\n"
 
 
 def test_trajectory_groups_split_on_trajectory_fields_only():
