@@ -8,22 +8,19 @@ Wire format, one event per line, LF-terminated:
 fit in a signed 64-bit integer, and `event_kind` is one of RECRUIT, CREATE,
 SHARE, EXPOSE, INFECT, RECOVER.  RECRUIT events carry no meme, so their
 request path is the bare site root: `"GET /"`.  write_lines, the one
-serializer, writes column blocks as bytes, a bounded chunk of events per
-numpy pass; parse_line defines the grammar one line at a time; and
-read_columns(path), the inverse of write_lines, gives back the written
-records as blocks.  A line ends at LF, and one CR right before the LF (or
-at the end of the file) belongs to the line end, so CRLF logs read too; a
-CR anywhere else is part of the line.  Blank lines are skipped.  read_columns keeps its array-speed
-parse of a block only when write_lines writes the parsed columns back as
-exactly that block; any other block, a CRLF one included, is read by
-parse_line, line by line.
+serializer, writes column blocks; parse_line defines the grammar one line
+at a time; and read_columns(path), the inverse of write_lines, gives back
+the written records as blocks.  A line ends at LF, and one CR right before
+the LF (or at the end of the file) belongs to the line end, so CRLF logs
+read too; a CR anywhere else is part of the line.  Blank lines are
+skipped.  A block that write_lines writes back from its columns is read by
+one pass over its bytes, any other (a CRLF one included) by parse_line.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import warnings
 
 import numpy as np
 
@@ -186,59 +183,65 @@ def parse_line(line: str, lineno: int | None = None) -> EventRecord:
 
 
 def read_columns(path):
-    """Yield the log at `path` as blocks of int64 columns
-    (ticks, kinds, agents, memes), the inverse of write_lines: kinds are
-    EventKind values and memes are -1 for RECRUIT.
-
-    The file is read _BLOCK_BYTES at a time and cut after its last LF, the
-    one line end.  A block that write_lines writes back from its parsed
-    columns is read at array speed, any other (a CRLF one included) by
-    parse_line.  A LogParseError names the first bad line with its line
-    number in the whole file, exactly as parse_line reports it.
-    """
-    lineno = 0
+    """Yield the log at `path` as blocks of int64 columns (ticks, kinds,
+    agents, memes), write_lines' inverse: kinds are EventKind values and
+    memes -1 for RECRUIT.  The file is read _BLOCK_BYTES at a time, cut
+    after its last LF; a LogParseError numbers lines in the whole file."""
+    lineno, pending = 0, b""
     with open(path, "rb") as fh:
-        pending = b""
         while chunk := fh.read(_BLOCK_BYTES):
             pending += chunk
             cut = 1 + pending.rfind(b"\n")
             if cut:
                 block, pending = pending[:cut], pending[cut:]
-                yield _parse_block(block, lineno)
-                lineno += block.count(b"\n")
+                columns, lines = _parse_block(block, lineno)
+                yield columns
+                lineno += lines
         if pending:
-            yield _parse_block(pending, lineno)
+            yield _parse_block(pending, lineno)[0]
 
 
 def _parse_block(block: bytes, lines_before: int):
-    """Columns of the lines in `block`, which follows `lines_before` lines.
+    """Columns of the lines in `block`, which follows `lines_before` lines,
+    and its LF count.  The quick parse finds the fields of `<tick> <agent>
+    "GET /m/<meme>" <KIND>` by the LFs, spaces and quotes of a uint8 view of
+    the block, and a kind by its second-last letter, unique to each kind.  It
+    keeps columns in write_lines' domain that write_lines writes back as
+    exactly `block`, which parse_line reads the same; other blocks go to it."""
+    u = np.frombuffer(block, dtype=np.uint8)
+    ends, spaces, quotes = (np.flatnonzero(u == ord(byte)) for byte in '\n "')
+    n = len(ends)
+    if n and ends[-1] == len(u) - 1 and len(spaces) == 4 * n and len(quotes) == 2 * n:
+        spaces, quotes = spaces.reshape(n, 4).T, quotes.reshape(n, 2).T
+        digits = u - np.uint8(ord("0"))
+        digits *= digits < 10           # every byte but a digit reads 0
+        # The byte before the first line is the block's last, an LF.
+        ticks = _numbers(digits, np.concatenate(([-1], ends[:-1])), spaces[0])
+        agents = _numbers(digits, spaces[0], spaces[1])
+        memes = _numbers(digits, quotes[0] + len('"GET /m'), quotes[1])
+        memes[quotes[1] - quotes[0] == len('"GET /')] = -1
+        codes = np.full(256, -1, dtype=np.int64)
+        codes[[ord(kind.name[-2]) for kind in EventKind]] = list(EventKind)
+        kinds = codes[u[ends - 2]]
+        del spaces, quotes, digits      # not held through write_lines
+        if (min(ticks.min(), kinds.min(), agents.min()) >= 0
+                and np.array_equal(memes < 0, kinds == EventKind.RECRUIT)):
+            written = io.BytesIO()
+            write_lines(written, [(ticks, kinds, agents, memes)])
+            if written.getvalue() == block:
+                return (ticks, kinds, agents, memes), n
+    return _parse_block_by_line(block, lines_before), n
 
-    The quick parse reads all the block's numbers at once; its columns are
-    kept only when they are in write_lines' domain and write_lines writes
-    them back as exactly `block`, where parse_line, write_lines' inverse,
-    gives the same.  Any other block goes to the line path.
-    """
-    text = (block.replace(b' "GET /m/', b" ")
-            .replace(b' "GET /"', b" -1")
-            .replace(b'" ', b" "))
-    for kind in EventKind:
-        text = text.replace(kind.name.encode(), b"%d" % kind)
-    try:
-        # Text that fromstring cannot read to its end raises in numpy 2 and
-        # warns in numpy 1; reshape raises unless there are 4k numbers.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 4)
-    except (ValueError, DeprecationWarning):
-        return _parse_block_by_line(block, lines_before)
-    ticks, agents, memes, kinds = values.T
-    if (np.all((kinds >= 0) & (kinds < len(EventKind)))
-            and np.array_equal(memes < 0, kinds == EventKind.RECRUIT)):
-        written = io.BytesIO()
-        write_lines(written, [(ticks, kinds, agents, memes)])
-        if written.getvalue() == block:
-            return ticks, kinds, agents, memes
-    return _parse_block_by_line(block, lines_before)
+
+def _numbers(digits, before, ends):
+    """The numbers from the last 19 digits strictly between `before` and
+    `ends`, where `digits` reads 0 at every byte but a digit: exact in
+    uint64, so as int64 a number past INT64_MAX is negative."""
+    before = np.minimum(before, ends)   # a stray quote can put it past the block
+    value = np.zeros(len(ends), dtype=np.uint64)
+    for k in range(min(int((ends - before).max()) - 1, 19)):
+        value += digits[np.maximum(ends - (k + 1), before)] * np.uint64(10**k)
+    return value.view(np.int64)
 
 
 def _parse_block_by_line(block: bytes, lines_before: int):
@@ -247,13 +250,11 @@ def _parse_block_by_line(block: bytes, lines_before: int):
     rows = []
     for lineno, line in enumerate(block.split(b"\n"), start=lines_before + 1):
         text = line.decode("utf-8", errors="surrogateescape")
-        if text.strip() == "":
-            continue
-        record = parse_line(text, lineno)
-        rows.append((record.tick, record.kind, record.agent_id,
-                     -1 if record.meme_id is None else record.meme_id))
-    ticks, kinds, agents, memes = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return ticks, kinds, agents, memes
+        if text.strip():
+            record = parse_line(text, lineno)
+            rows.append((record.tick, record.kind, record.agent_id,
+                         -1 if record.meme_id is None else record.meme_id))
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +303,7 @@ def aggregate_hits(blocks, bin_width_ticks: int = 1):
 
 
 def _add_counts(table, keys, counts):
-    """The table of (sorted distinct keys, int64 counts) with `counts` added
-    at `keys`."""
+    """`table`, (sorted distinct keys, int64 counts), plus `counts` at `keys`."""
     merged, inverse = np.unique(np.concatenate([table[0], keys]), return_inverse=True)
     totals = np.zeros(len(merged), dtype=np.int64)
     np.add.at(totals, inverse, np.concatenate([table[1], counts]))

@@ -4,6 +4,7 @@ import faulthandler
 import json
 import multiprocessing
 import os
+import threading
 import xml.etree.ElementTree as ET
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import records_of, run_many, run_python, table_dict
-from memesim import engine, logio
+from memesim import cli, engine, logio
 from memesim.cli import load_run_config, main
+from memesim.core import EventKind
 from memesim.engine import SimConfig, run, trajectory_groups
 from memesim.decision import SharingModel
 
@@ -610,6 +612,33 @@ def test_analyze_non_ascii_log_exits_4(tmp_path, capsys, first):
     assert main(["analyze", "--log", str(bad), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("parse-error") and "line 2" in err
+
+
+def test_analyze_then_fit_start_no_thread(tmp_path):
+    # The read path and both fits run on the calling thread: analyze on a
+    # log of several blocks, then fit, leave the thread count as it was.
+    import numpy as np
+    n = 200_000
+    ticks = np.arange(n)
+    kinds = np.resize([EventKind.CREATE, EventKind.EXPOSE], n)
+    log = tmp_path / "events.log"
+    with open(log, "wb") as fh:
+        logio.write_lines(fh, [(ticks, kinds, ticks % 1000, ticks % 50)])
+    assert log.stat().st_size > 3 * logio._BLOCK_BYTES
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=400)
+    table = tmp_path / "d.csv"
+    table.write_text("x,y\n" + "".join(
+        f"{a},{int(b)}\n" for a, b in zip(x, rng.random(400) < 1 / (1 + np.exp(-x)))))
+    threads = threading.active_count()
+    assert cli.cmd_analyze(log, 1, tmp_path / "an") == 0
+    assert threading.active_count() == threads
+    assert cli.cmd_fit(table, "logistic", tmp_path / "logistic.json") == 0
+    assert cli.cmd_fit(FIXTURES / "line.csv", "ols", tmp_path / "ols.json") == 0
+    assert threading.active_count() == threads
+    # Even ticks CREATE and odd ones EXPOSE, so only odd memes have hits.
+    assert (tmp_path / "an" / "hits.csv").read_text() == "meme_id,hits\n" + "".join(
+        f"{m},{m % 2 * n // 50}\n" for m in range(50))
 
 
 def test_analyze_bad_bin_exits_4(tmp_path):

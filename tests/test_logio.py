@@ -559,16 +559,51 @@ def test_canonical_logs_take_the_quick_path(tmp_path, monkeypatch):
     b'0\t1 "GET /m/5" EXPOSE\n',                # tab separator
     b'1e3 1 "GET /m/5" EXPOSE\n',               # exponent
     b'007 1 "GET /m/05" CREATE\n',              # leading zeros
-    b'%d 1 "GET /m/5" EXPOSE\n' % 2**63,        # saturates in fromstring
+    b'%d 1 "GET /m/5" EXPOSE\n' % 2**63,        # one past INT64_MAX: < 0 as int64
     b'%d 1 "GET /m/%d" EXPOSE\n' % (INT64_MAX, INT64_MAX),
     b'0 1 "GET /m/5" EXPOSE 7\n',               # extra field
     b'0 1 "GET /m/5" EXPOSE',                   # no final newline
+    b'%d 1 "GET /m/5" EXPOSE\n' % (10**18 + 7),  # 19 digits
+    b'0 %d "GET /m/5" EXPOSE\n' % 10**19,       # 20 digits
+    b'0 1 "GET /m/%d" SHARE\n' % 12345678901234567890,  # last 19 digits fit
+    b'0 1 "GET /m/5" RECOVER\n',                # RECOVER is no RECRUIT
+    b'0 1 "GET /" RECOVER\n',
+    b'0 1 "GET /" RECRUIT\n1 2 "GET /m/5" RECOVER\n',
+    b'0 1 "GET /m/5" expose\n',                 # lower case
+    b'0 1 "GET /m/5" ExPOSE\n',                 # second-last letter upper case
+    b'0 1 "GET /m/5" EXPOSE \n',                # trailing space
+    b'0 1 "GET /m/5" EXPOSE \n0 1 "GET /m/5"EXPOSE\n',  # spaces count right
+    b'0 1 "GET /m/" EXPOSE\n',                  # empty meme
+    b'0 1 "GET /x/5" EXPOSE\n',
+    b'0  1 "GET /m/5" EXPOSE\n',                # double space
+    b'0  1 "GET /m/5" EXPOSE\n0 1 "GET /m/5"EXPOSE\n',
+    b'0 1 "GET /m/12345" EXPOSE\n0 1 2 3 ""\n',  # a meme's start past the block
 ])
 def test_quick_parse_agrees_with_line_oracle(tmp_path, line):
     # The quick parse reads these as numbers it must not keep, or keeps
     # only what the line path gives; nothing but LogParseError escapes.
     path = tmp_path / "events.log"
     path.write_bytes(line)
+    assert (_outcome(lambda: records_of(read_columns(path)))
+            == _outcome(lambda: list(read_log(path))))
+
+
+@st.composite
+def counted_line(draw):
+    """Four spaces, two quotes and other log bytes in any order, LF-ended:
+    the counts the quick parse checks hold, so it places every field."""
+    pieces = [b" "] * 4 + [b'"'] * 2 + draw(st.lists(st.sampled_from(
+        [b"0", b"7", b"12", b"9" * 19, b"GET", b"/m/", b"/", b"EXPOSE", b"RECRUIT",
+         b"RECOVER"]), max_size=6))
+    return b"".join(draw(st.permutations(pieces))) + b"\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lines=st.lists(st.one_of(counted_line(), record_strategy.map(
+    lambda rec: emit_line(rec).encode())), min_size=1, max_size=6))
+def test_quick_parse_of_counted_lines_agrees_with_line_oracle(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("counted") / "events.log"
+    path.write_bytes(b"".join(lines))
     assert (_outcome(lambda: records_of(read_columns(path)))
             == _outcome(lambda: list(read_log(path))))
 
@@ -592,3 +627,53 @@ def test_sparse_meme_ids_aggregate_without_dense_tables():
     assert table_dict(memes) == {7: 1, 5 * 10**11: 0, 10**12: 1}
     assert table_dict(bins) == {0: 1, 10**15: 1}
     assert peak < 1 << 20
+
+
+@st.composite
+def digit_ids(draw):
+    """A non-negative int64 of 1 to 19 decimal digits."""
+    digits = draw(st.integers(1, 19))
+    low = 0 if digits == 1 else 10 ** (digits - 1)
+    return draw(st.integers(low, min(10**digits - 1, INT64_MAX)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(blocks=st.lists(st.lists(st.builds(
+    lambda kind, tick, agent, meme: EventRecord(
+        tick, kind, agent, None if kind is EventKind.RECRUIT else meme),
+    st.sampled_from(KINDS), digit_ids(), digit_ids(), digit_ids()),
+    min_size=1, max_size=12), min_size=1, max_size=3))
+def test_written_blocks_take_the_quick_path(tmp_path_factory, blocks):
+    # Whatever write_lines writes, ids of every width and every kind, the
+    # quick parse keeps: the line path is never asked.
+    def by_line(block, lines_before):
+        raise AssertionError(f"block after line {lines_before} read by line")
+    path = tmp_path_factory.mktemp("quick") / "events.log"
+    with open(path, "wb") as fh:
+        logio.write_lines(fh, (columns_of(block) for block in blocks))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logio, "_parse_block_by_line", by_line)
+        assert records_of(read_columns(path)) == [r for block in blocks for r in block]
+
+
+def test_read_memory_is_bounded_by_one_block(tmp_path):
+    # The reader's traced peak is the same for a log of 16 blocks as for
+    # one of 4, and a few blocks' worth: the file is never held whole.
+    rng = np.random.default_rng(8)
+
+    def peak(blocks):
+        path = tmp_path / f"{blocks}.log"
+        with open(path, "wb") as fh:
+            while fh.tell() < blocks * logio._BLOCK_BYTES:
+                logio.write_lines(fh, [random_block(rng, 50_000)])
+        tracemalloc.start()
+        try:
+            for _ in read_columns(path):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4), peak(16)
+    assert large <= small + (256 << 10), (small, large)
+    assert large <= 8 * logio._BLOCK_BYTES, large
