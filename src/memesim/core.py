@@ -24,10 +24,16 @@ according to the SIMD target it dispatches to.  A one-ulp difference there
 can move a neighbour across the sharing radius or flip a share decision, and
 so change ``events.log``: the goldens pin its bytes only per host, under the
 default and a narrower dispatch on the host that runs the tests.
+
+:class:`Helper` is the one second thread, owned for one call by
+`engine.run_group`, `stats.logistic_fit` and `logio.read_columns`.  A job
+gives what the calling thread would, reads no stream and calls no name that
+a profiler wraps (a tracer that keeps one span stack would misbook it).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -118,8 +124,8 @@ class RngStream:
     """One named, seeded draw sequence.
 
     Not shareable between concurrent callers: each thread owns its stream.
-    The walk helper of `engine.run_group` draws from none; the calling
-    thread draws the walk a tick early and hands the helper the values.
+    A :class:`Helper` draws from none; `engine.run_group`'s calling thread
+    draws the walk a tick early and hands the helper the values.
     """
 
     __slots__ = ("_state",)
@@ -137,6 +143,48 @@ class RngStream:
 
     def normals(self, n: int) -> np.ndarray:
         return _to_normal(self.raw(2 * n))
+
+
+class Helper:
+    """A thread that runs jobs, in order, for the one call that owns it:
+    `take()` returns the oldest untaken result of `submit(fn, *args)` or
+    raises what that job raised.  Leaving its `with` block runs the queued
+    jobs and joins the thread, so no fork or later call inherits it."""
+
+    def __init__(self):
+        from queue import SimpleQueue  # here, so `import memesim` does not pay
+        self._jobs, self._results = SimpleQueue(), SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while (job := self._jobs.get()) is not None:
+            try:
+                self._results.put((job[0](*job[1]), None))
+            except BaseException as exc:  # raised again by take()
+                self._results.put((None, exc))
+
+    def submit(self, fn, *args):
+        self._jobs.put((fn, args))
+
+    def take(self):
+        result, exc = self._results.get()
+        if exc is not None:
+            raise exc
+        return result
+
+    def both(self, fn, first, second):
+        """(fn(*first) on the helper, fn(*second) here), run at once."""
+        self.submit(fn, *first)
+        result = fn(*second)
+        return self.take(), result
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._jobs.put(None)
+        self._thread.join()
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,6 @@ DEFAULT_SHARING_MODEL = SharingModel(
 
 
 def sigmoid_array(z: np.ndarray) -> np.ndarray:
-    """Numerically stable standard logistic, elementwise."""
+    """Numerically stable standard logistic, elementwise, in one division."""
     t = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.where(z >= 0, 1.0, t) / (1.0 + t)

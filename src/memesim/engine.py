@@ -28,20 +28,11 @@ it, and stops the walk once all its worlds are quiet.  The walk stream is
 read by nothing else, and a tick without events adds to no series or hit,
 so no artifact can tell the skipped ticks apart.
 
-The walk's angles are worked out one tick ahead.  While `run_group` steps
-tick t, a helper thread that it owns turns tick t+1's walk draws into
-angles and their sines (`_angles`), and `walk_step` takes them; numpy
-releases the GIL in these loops, so the work spreads over two CPUs.  The
-draws stay on the calling thread: `walk_step` draws tick t+1's as it takes
-tick t's, so the helper reads no stream, and a profiler that wraps the
-package's functions sees each draw on the calling thread, every one after
-the first inside `walk_step`.  No byte changes: the walk stream is
-counter-based and read by nothing but the walk, so drawing it a tick early
-gives the same values in the same order, and the helper runs the `_angles`
-that `walk_step` runs inline.  The helper lives only inside one
-`run_group` call and is joined before it returns or raises, so no forked
-process or later call inherits it.  It is at most one tick ahead; a run
-that stops before its horizon leaves that tick's draws unused.
+While `run_group` steps tick t, a `core.Helper` that it owns runs
+`_angles`, its one job, on the walk draws of tick t+1, which `walk_step`
+draws on the calling thread as it takes tick t's angles.  The walk stream
+is counter-based and read by nothing else, so the values and their order
+are those of an inline walk; a run that stops early leaves one tick unused.
 """
 
 from __future__ import annotations
@@ -49,7 +40,6 @@ from __future__ import annotations
 import copy
 import math
 import sys
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,6 +49,7 @@ from .core import (
     ConfigurationError,
     EventKind,
     EventRecord,
+    Helper,
     RngStream,
     StreamLabel,
     perception_noise_batch,
@@ -296,11 +287,11 @@ class Trajectory:
     """Agent positions and the walk stream, fixed by trajectory_key alone.
 
     `placement` is the placement stream just past the positions' draws;
-    each world on the trajectory copies it for its recruits.  `ahead` is
-    the `_DrawAhead` helper while `run_group` runs one, else None.
+    each world on the trajectory copies it for its recruits.  `helper` is
+    run_group's Helper, and `ahead` counts the walk draws still to hand it.
     """
 
-    __slots__ = ("xs", "ys", "walk", "placement", "ahead")
+    __slots__ = ("xs", "ys", "walk", "placement", "helper", "ahead")
 
     def __init__(self, config: SimConfig):
         n = config.population
@@ -309,7 +300,7 @@ class Trajectory:
         u = self.placement.uniforms(2 * n)
         self.xs = wrap_coords(u[0::2] * config.world_width, config.world_width)
         self.ys = wrap_coords(u[1::2] * config.world_height, config.world_height)
-        self.ahead = None
+        self.helper, self.ahead = None, 0
 
 
 def trajectory_key(config: SimConfig) -> tuple:
@@ -442,8 +433,11 @@ def walk_step(world: WorldState) -> WorldState:
     their sines come from run_group's helper when it runs one, else from
     `_angles` on this thread."""
     cfg, traj = world.config, world.traj
-    if traj.ahead:
-        theta, dy = traj.ahead.take()
+    if traj.helper:
+        theta, dy = traj.helper.take()
+        if traj.ahead:
+            traj.ahead -= 1
+            traj.helper.submit(_angles, traj.walk.uniforms(cfg.population))
     else:
         theta, dy = _angles(traj.walk.uniforms(cfg.population))
     dx = np.cos(theta)
@@ -461,50 +455,6 @@ def _angles(draws: np.ndarray):
     their sines."""
     draws *= 2.0 * np.pi
     return draws, np.sin(draws)
-
-
-class _DrawAhead:
-    """A helper thread that runs `_angles` on the next tick's walk draws
-    while the caller runs this one.
-
-    The caller draws from the walk stream, the helper never does: `take`
-    returns one tick's angles and sines and draws the next tick's, up to
-    `ticks` draws in all, so the helper is at most one tick ahead.
-    """
-
-    def __init__(self, walk: RngStream, n: int, ticks: int):
-        # Imported here, so that `import memesim` does not pay for it.
-        from queue import SimpleQueue
-
-        self._walk, self._n, self._left = walk, n, ticks - 1
-        self._draws, self._done = SimpleQueue(), SimpleQueue()
-        self._draws.put(walk.uniforms(n))
-        self._thread = threading.Thread(target=self._serve, name="memesim-walk",
-                                        daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while (draws := self._draws.get()) is not None:
-            try:
-                self._done.put(_angles(draws))
-            except BaseException as exc:  # raised again by take(), on the caller's thread
-                self._done.put(exc)
-                return
-
-    def take(self):
-        """This tick's (theta, sin theta); raises what `_angles` raised."""
-        angles = self._done.get()
-        if isinstance(angles, BaseException):
-            raise angles
-        if self._left:
-            self._left -= 1
-            self._draws.put(self._walk.uniforms(self._n))
-        return angles
-
-    def close(self):
-        """Stop the helper and wait for it to end."""
-        self._draws.put(None)
-        self._thread.join()
 
 
 def share_step(world: WorldState) -> WorldState:
@@ -651,26 +601,26 @@ def run_group(configs) -> list:
     """run() of each config, all of one trajectory_key, walking their one
     Trajectory once per tick.  A member leaves the loop at its horizon or
     once quiet, and the walk stops when no member is left: a shorter run
-    is a prefix of it.  For the length of the call a helper thread works
-    out the walk's angles one tick ahead (see the module docstring)."""
+    is a prefix of it.  For the length of the call a `Helper` works out the
+    walk's angles one tick ahead (see the module docstring)."""
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))
         traj = worlds[-1].traj
     horizon = max(config.horizon_ticks for config in configs)
-    if horizon:
-        traj.ahead = _DrawAhead(traj.walk, configs[0].population, horizon)
     try:
-        for tick in range(horizon):
-            live = [world for world in worlds if tick < world.config.horizon_ticks
-                    and (len(world.keys) or world.meme_count < world.config.max_memes)]
-            if not live:
-                break
-            step(*live)
+        with Helper() as traj.helper:
+            traj.ahead = horizon - 1
+            if horizon:
+                traj.helper.submit(_angles, traj.walk.uniforms(configs[0].population))
+            for tick in range(horizon):
+                live = [world for world in worlds if tick < world.config.horizon_ticks
+                        and (len(world.keys) or world.meme_count < world.config.max_memes)]
+                if not live:
+                    break
+                step(*live)
     finally:
-        if traj.ahead:
-            traj.ahead.close()
-            traj.ahead = None
+        traj.helper = None
     return [_output(world) for world in worlds]
 
 

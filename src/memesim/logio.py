@@ -15,16 +15,18 @@ the LF (or at the end of the file) belongs to the line end, so CRLF logs
 read too; a CR anywhere else is part of the line.  Blank lines are
 skipped.  A block that write_lines writes back from its columns is read by
 one pass over its bytes, any other (a CRLF one included) by parse_line.
+read_columns owns a `core.Helper` that runs that pass (`_fields`, then
+`_kept`) over half of each block; parse_line, which a profiler wraps,
+reads a half that the pass does not keep on the calling thread.
 """
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
 
-from .core import EventKind, EventRecord, InputError
+from .core import EventKind, EventRecord, Helper, InputError
 
 _INT64_MAX = 2**63 - 1
 
@@ -186,51 +188,66 @@ def read_columns(path):
     """Yield the log at `path` as blocks of int64 columns (ticks, kinds,
     agents, memes), write_lines' inverse: kinds are EventKind values and
     memes -1 for RECRUIT.  The file is read _BLOCK_BYTES at a time, cut
-    after its last LF; a LogParseError numbers lines in the whole file."""
+    after its last LF and again after the last LF of its first half, which
+    the helper parses.  A LogParseError numbers lines in the whole file."""
     lineno, pending = 0, b""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, Helper() as helper:
         while chunk := fh.read(_BLOCK_BYTES):
-            pending += chunk
+            pending, chunk = pending + chunk, None  # chunk not held through the parse
             cut = 1 + pending.rfind(b"\n")
             if cut:
                 block, pending = pending[:cut], pending[cut:]
-                columns, lines = _parse_block(block, lineno)
-                yield columns
-                lineno += lines
-        if pending:
-            yield _parse_block(pending, lineno)[0]
+                u = np.frombuffer(block, dtype=np.uint8)
+                middle = 1 + block.rfind(b"\n", 0, cut // 2)
+                first, second = u[:middle], u[middle:]  # views: no byte is copied
+                # Each pass starts on both halves at once: their memory peaks meet.
+                parsed = helper.both(_fields, (first,), (second,))
+                kept = helper.both(_kept, (parsed[0], first), (parsed[1], second))
+                for half, (_, lines), columns in zip((first, second), parsed, kept):
+                    if lines:                       # the first half may be empty
+                        yield columns or _parse_block_by_line(half.tobytes(), lineno)
+                        lineno += lines
+        if pending:                                 # no LF: the quick parse fails
+            yield _parse_block_by_line(pending, lineno)
 
 
-def _parse_block(block: bytes, lines_before: int):
-    """Columns of the lines in `block`, which follows `lines_before` lines,
-    and its LF count.  The quick parse finds the fields of `<tick> <agent>
-    "GET /m/<meme>" <KIND>` by the LFs, spaces and quotes of a uint8 view of
-    the block, and a kind by its second-last letter, unique to each kind.  It
-    keeps columns in write_lines' domain that write_lines writes back as
-    exactly `block`, which parse_line reads the same; other blocks go to it."""
-    u = np.frombuffer(block, dtype=np.uint8)
+def _fields(u):
+    """The columns of the lines in `u` (uint8), or None outside write_lines'
+    domain, and its LF count.  The fields of `<tick> <agent> "GET /m/<meme>"
+    <KIND>` are found by the LFs, spaces and quotes of `u`, and a kind by
+    its second-last letter, unique to each kind."""
     ends, spaces, quotes = (np.flatnonzero(u == ord(byte)) for byte in '\n "')
     n = len(ends)
-    if n and ends[-1] == len(u) - 1 and len(spaces) == 4 * n and len(quotes) == 2 * n:
-        spaces, quotes = spaces.reshape(n, 4).T, quotes.reshape(n, 2).T
-        digits = u - np.uint8(ord("0"))
-        digits *= digits < 10           # every byte but a digit reads 0
-        # The byte before the first line is the block's last, an LF.
-        ticks = _numbers(digits, np.concatenate(([-1], ends[:-1])), spaces[0])
-        agents = _numbers(digits, spaces[0], spaces[1])
-        memes = _numbers(digits, quotes[0] + len('"GET /m'), quotes[1])
-        memes[quotes[1] - quotes[0] == len('"GET /')] = -1
-        codes = np.full(256, -1, dtype=np.int64)
-        codes[[ord(kind.name[-2]) for kind in EventKind]] = list(EventKind)
-        kinds = codes[u[ends - 2]]
-        del spaces, quotes, digits      # not held through write_lines
-        if (min(ticks.min(), kinds.min(), agents.min()) >= 0
-                and np.array_equal(memes < 0, kinds == EventKind.RECRUIT)):
-            written = io.BytesIO()
-            write_lines(written, [(ticks, kinds, agents, memes)])
-            if written.getvalue() == block:
-                return (ticks, kinds, agents, memes), n
-    return _parse_block_by_line(block, lines_before), n
+    if not (n and ends[-1] == len(u) - 1 and len(spaces) == 4 * n and len(quotes) == 2 * n):
+        return None, n
+    spaces, quotes = spaces.reshape(n, 4).T, quotes.reshape(n, 2).T
+    digits = u - np.uint8(ord("0"))
+    digits *= digits < 10               # every byte but a digit reads 0
+    # The byte before the first line is the block's last, an LF.
+    ticks = _numbers(digits, np.concatenate(([-1], ends[:-1])), spaces[0])
+    agents = _numbers(digits, spaces[0], spaces[1])
+    memes = _numbers(digits, quotes[0] + len('"GET /m'), quotes[1])
+    memes[quotes[1] - quotes[0] == len('"GET /')] = -1
+    codes = np.full(256, -1, dtype=np.int64)
+    codes[[ord(kind.name[-2]) for kind in EventKind]] = list(EventKind)
+    kinds = codes[u[ends - 2]]
+    if (min(ticks.min(), kinds.min(), agents.min()) < 0     # write_lines' domain
+            or not np.array_equal(memes < 0, kinds == EventKind.RECRUIT)):
+        return None, n
+    return (ticks, kinds, agents, memes), n
+
+
+def _kept(parsed, u):
+    """The columns of `parsed`, from _fields, if write_lines writes them
+    back as exactly `u` (then parse_line reads `u` the same), else None."""
+    columns, n = parsed
+    at = 0
+    for start in range(0, n if columns else 0, _CHUNK_EVENTS):  # write_lines' chunks
+        text = _format_chunk(*(c[start:start + _CHUNK_EVENTS] for c in columns))
+        if not np.array_equal(np.frombuffer(text, np.uint8), u[at:at + len(text)]):
+            return None
+        at += len(text)
+    return columns if at == len(u) else None
 
 
 def _numbers(digits, before, ends):

@@ -5,6 +5,11 @@ intercept column is added internally) and return a :class:`FitResult`.
 Because "variance explained" is ambiguous for a binary outcome, the
 logistic fit reports McFadden's pseudo R-squared and, separately, the
 R-squared of an OLS fit to the 0/1 response.
+
+`logistic_fit` owns a `core.Helper`, whose job `_rows` runs the elementwise
+passes of each IRLS candidate over half of the rows with the unwrapped
+`decision.sigmoid_array`; products and sums run over all rows on the
+calling thread, so no bit depends on the split.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError
+from . import decision
+from .core import Helper, InputError
 from .decision import sigmoid_array
 
 
@@ -128,6 +134,10 @@ def ols_fit(data: DesignMatrix) -> FitResult:
 _RIDGE = 1e-6
 _MAX_ITER = 100
 _TOL = 1e-8
+# Relative rounding of the log-likelihood: its terms are <= 0, each within
+# 12 ulps, and np.sum adds runs of 16, joins 8 runs in 3 levels, then pairs
+# over log2(n / 128) levels: under 12 + 16 + 3 + 33 = 64 ulps to n = 2**40.
+_LL_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 def logistic_fit(data: DesignMatrix) -> FitResult:
@@ -136,7 +146,9 @@ def logistic_fit(data: DesignMatrix) -> FitResult:
     Every coefficient but the intercept carries the penalty _RIDGE, which
     keeps the optimum finite even on perfectly separated data.  Converged
     means the penalized-likelihood gradient reached infinity norm <= _TOL
-    within _MAX_ITER iterations.
+    within _MAX_ITER iterations.  A full Newton step predicted to gain less
+    than the log-likelihood's rounding error is taken unless the latter falls
+    by more: rounding would decide, and halving stalls short of _TOL.
     """
     y = data.response
     classes = np.unique(y)
@@ -146,46 +158,48 @@ def logistic_fit(data: DesignMatrix) -> FitResult:
         raise DegenerateResponseError("response contains a single class")
 
     x = data.with_intercept()
-    p = x.shape[1]
+    n, p = x.shape
     penalty = np.full(p, _RIDGE)
     penalty[0] = 0.0
+    # The calling thread's rows start where a SIMD vector of all rows would.
+    half = n // 2 // 64 * 64
+    mu, w, terms = np.empty(n), np.empty(n), np.empty(n)
 
-    def penalized_ll(beta):
-        z = x @ beta
-        return float(np.sum(y * z - np.logaddexp(0.0, z))
-                     - 0.5 * np.sum(penalty * beta * beta))
+    with Helper() as helper:
+        def evaluate(beta):
+            """beta's log-likelihood, plain and penalized; mu and w become beta's."""
+            columns = (y, x @ beta, mu, w, terms)
+            helper.both(_rows, (decision.sigmoid_array, *(c[:half] for c in columns)),
+                        (sigmoid_array, *(c[half:] for c in columns)))
+            lnl = np.sum(terms)
+            return float(lnl), float(lnl - 0.5 * np.sum(penalty * beta * beta))
 
-    beta = np.zeros(p)
-    ll = penalized_ll(beta)
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        mu = sigmoid_array(x @ beta)
-        grad = x.T @ (y - mu) - penalty * beta
-        if float(np.max(np.abs(grad))) <= _TOL:
-            converged = True
-            iterations -= 1
-            break
-        w = mu * (1.0 - mu)
-        hess = x.T @ (w[:, None] * x) + np.diag(penalty)
-        try:
-            direction = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            direction, *_ = np.linalg.lstsq(hess, grad, rcond=None)
-        # Step halving keeps IRLS from overshooting on ill-scaled problems.
-        scale = 1.0
-        for _ in range(40):
-            candidate = beta + scale * direction
-            cand_ll = penalized_ll(candidate)
-            if cand_ll >= ll:
-                beta = candidate
-                ll = cand_ll
+        beta = np.zeros(p)
+        lnl, ll = evaluate(beta)
+        converged = False
+        iterations = 0
+        for iterations in range(1, _MAX_ITER + 1):
+            grad = x.T @ (y - mu) - penalty * beta
+            if float(np.max(np.abs(grad))) <= _TOL:
+                converged = True
+                iterations -= 1
                 break
-            scale *= 0.5
-        else:
-            break  # no ascent possible at this point
+            hess = x.T @ (w[:, None] * x) + np.diag(penalty)
+            try:
+                direction = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                direction, *_ = np.linalg.lstsq(hess, grad, rcond=None)
+            noise = _LL_ROUNDING * abs(ll)
+            floor = ll - noise if 0.5 * float(grad @ direction) <= noise else ll
+            # Step halving keeps IRLS from overshooting on ill-scaled problems.
+            for halvings in range(40):
+                cand_lnl, cand_ll = evaluate(candidate := beta + 0.5**halvings * direction)
+                if cand_ll >= (ll if halvings else floor):
+                    beta, lnl, ll = candidate, cand_lnl, cand_ll
+                    break
+            else:
+                break  # no ascent possible at this point
 
-    lnl = float(np.sum(y * (x @ beta) - np.logaddexp(0.0, x @ beta)))
     ybar = float(y.mean())
     lnl0 = data.n * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
     pseudo = 1.0 - max(lnl, lnl0) / lnl0  # McFadden's pseudo R-squared
@@ -203,6 +217,13 @@ def logistic_fit(data: DesignMatrix) -> FitResult:
     )
 
 
+def _rows(sigmoid, y, z, mu, w, terms):
+    """Into these rows: mu = sigmoid(z), w = mu (1 - mu), terms = log P(y)."""
+    mu[...] = sigmoid(z)
+    np.multiply(mu, 1.0 - mu, out=w)
+    np.subtract(y * z, np.logaddexp(0.0, z), out=terms)
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -214,12 +235,13 @@ def load_design_csv(path) -> DesignMatrix:
     optionally double-quoted and surrounded by whitespace.  Blank lines are
     skipped and `#` is not a comment.  A bad row, including a cell with a
     byte that is not UTF-8 or over csv's field size limit, is an InputError
-    naming `path:lineno`.
+    naming `path:lineno`.  np.loadtxt reads the rows again from `path`, so
+    a file changed between the reads gives either version's rows, or the
+    first's InputError where loadtxt's width is not the header's.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = _text(raw)
-    reader = csv.reader(text)
+    reader = csv.reader(_text(raw))
     try:
         header = next(reader)
     except StopIteration:
@@ -235,9 +257,10 @@ def load_design_csv(path) -> DesignMatrix:
             # loadtxt warns when it finds blank rows only.
             warnings.simplefilter("ignore", UserWarning)
             try:
-                table = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
-                                   ndmin=2)
-            except ValueError:
+                table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
+                                   ndmin=2, encoding="utf-8",
+                                   skiprows=reader.line_num)  # the header's lines
+            except ValueError:  # UnicodeDecodeError included
                 pass
     if table is None or table.shape[1] != len(header):
         table = _read_rows(path, raw, len(header))

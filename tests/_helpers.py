@@ -1,6 +1,7 @@
 """Shared verification helpers: scalar oracles, the per-line log reader,
 the csv table reader, the SIS transition checker, the serial sweep, a
-scalar reference engine and a child-process runner.
+scalar reference engine, a child-process runner and a watchdog for tests
+that start a helper thread.
 
 The oracles are the one-value-at-a-time forms of what the package computes
 in batches.  Tests compare the package against them; nothing in the
@@ -8,6 +9,7 @@ package calls them.
 """
 
 import csv
+import faulthandler
 import math
 import os
 import subprocess
@@ -15,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import memesim
 from memesim import logio, stats
@@ -474,3 +477,21 @@ def run_python(*args, address_space=None, timeout=None, **env):
                           preexec_fn=None if address_space is None else limit,
                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                                    **env))
+
+
+# A helper thread that is never joined would hang the session, so a test
+# that starts one in this process runs under this watchdog: past this many
+# seconds it prints every thread's stack and ends the session.
+WATCHDOG_S = 60
+
+
+@pytest.fixture
+def watchdog(capfd):
+    """The watchdog over one test; capture is off while the test runs, so
+    the stacks reach the terminal."""
+    with capfd.disabled():
+        faulthandler.dump_traceback_later(WATCHDOG_S, exit=True)
+        try:
+            yield
+        finally:
+            faulthandler.cancel_dump_traceback_later()

@@ -614,9 +614,10 @@ def test_analyze_non_ascii_log_exits_4(tmp_path, capsys, first):
     assert err.startswith("parse-error") and "line 2" in err
 
 
-def test_analyze_then_fit_start_no_thread(tmp_path):
-    # The read path and both fits run on the calling thread: analyze on a
-    # log of several blocks, then fit, leave the thread count as it was.
+def test_analyze_then_fit_leave_no_thread(tmp_path):
+    # The log reader and the logistic fit each own a helper thread for the
+    # length of their call, and OLS none: analyze on a log of several
+    # blocks, then both fits, leave the thread count as it was.
     import numpy as np
     n = 200_000
     ticks = np.arange(n)

@@ -96,6 +96,19 @@ def test_sigmoid_array_matches_scalar():
     assert np.array_equal(vec, np.array([sigmoid(v) for v in z]))
 
 
+def test_sigmoid_array_is_bitwise_the_two_division_formula():
+    # One division of np.where(z >= 0, 1, t) by 1 + t is the same IEEE
+    # operation on the same operands as the two-branch form it replaced.
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+               tiny, -tiny, tiny / 3, -tiny / 3, 36.7, -36.7, 709.8, -709.8,
+               745.2, -745.2, 1e308, -1e308]
+    z = np.concatenate([special, np.random.default_rng(3).normal(0, 30, 10_000)])
+    t = np.exp(-np.abs(z))
+    old = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    assert np.array_equal(sigmoid_array(z).view(np.uint64), old.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # Share decision: a pair with probability p shares when its decisions-stream
 # uniform u satisfies u < p.

@@ -3,6 +3,7 @@
 import io
 import random
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from _helpers import (
     emit_line,
     read_log,
     records_of,
+    run_python,
     table_dict,
+    watchdog,  # noqa: F401 (a fixture)
     write_records,
 )
 from memesim import logio
@@ -677,3 +680,93 @@ def test_read_memory_is_bounded_by_one_block(tmp_path):
     small, large = peak(4), peak(16)
     assert large <= small + (256 << 10), (small, large)
     assert large <= 8 * logio._BLOCK_BYTES, large
+
+
+# ---------------------------------------------------------------------------
+# The two halves of a block
+# ---------------------------------------------------------------------------
+
+def _first_cut(data: bytes) -> int:
+    """Where read_columns cuts the first block of `data` in two: after the
+    last LF in the first half of the block."""
+    block = data[:logio._BLOCK_BYTES]
+    cut = 1 + block.rfind(b"\n")
+    return 1 + block.rfind(b"\n", 0, cut // 2)
+
+
+@pytest.mark.parametrize("where", ["first-half", "before-cut", "after-cut",
+                                   "second-half"])
+def test_bad_line_near_the_cut_keeps_its_line_number(tmp_path, watchdog, monkeypatch,
+                                                     where):
+    # A kind one letter off, in the helper's half, on either side of the
+    # cut, or in this thread's half, is reported as the line oracle reports
+    # it; every line parse runs on the calling thread.
+    rng = random.Random(9)
+    good = written([random_record(rng) for _ in range(60_000)]).encode()
+    assert len(good) > logio._BLOCK_BYTES
+    lines = good.splitlines(keepends=True)
+    last_first = good[:_first_cut(good)].count(b"\n") - 1
+    bad = {"first-half": 5, "before-cut": last_first, "after-cut": last_first + 1,
+           "second-half": last_first + 100}[where]
+    lines[bad] = lines[bad][:-2] + b"X\n"    # same length: the cut stays put
+    path = tmp_path / "events.log"
+    path.write_bytes(b"".join(lines))
+    assert _first_cut(path.read_bytes()) == _first_cut(good)
+    threads = []
+    real = logio.parse_line
+
+    def recorded(line, lineno=None):
+        threads.append(threading.current_thread())
+        return real(line, lineno)
+
+    monkeypatch.setattr(logio, "parse_line", recorded)
+    got = _outcome(lambda: records_of(read_columns(path)))
+    assert got == _outcome(lambda: list(read_log(path)))
+    assert got[0] == "error" and got[1][0] == bad + 1
+    assert set(threads) == {threading.current_thread()}
+
+
+def test_abandoned_reader_leaves_no_thread(tmp_path, watchdog):
+    rng = np.random.default_rng(10)
+    path = tmp_path / "events.log"
+    with open(path, "wb") as fh:
+        logio.write_lines(fh, [random_block(rng, 100_000)])
+    assert path.stat().st_size > 2 * logio._BLOCK_BYTES
+    before = threading.enumerate()
+    blocks = read_columns(path)
+    next(blocks)
+    assert len(threading.enumerate()) == len(before) + 1
+    del blocks
+    assert threading.enumerate() == before
+
+
+# Makes the helper's parse job raise, then prints what read_columns raised,
+# whether every call ran on the main thread, and how many threads are left.
+_FAILING_FIELDS = """
+import sys, threading
+import numpy as np
+from memesim import logio
+real, calls = logio._fields, []
+def fields(u):
+    calls.append(threading.current_thread() is threading.main_thread())
+    if not calls[-1]:
+        raise FloatingPointError("fields failed")
+    return real(u)
+logio._fields = fields
+n = 100_000
+with open(sys.argv[1], "wb") as fh:
+    logio.write_lines(fh, [(np.arange(n), np.full(n, 3), np.arange(n), np.arange(n))])
+try:
+    for _ in logio.read_columns(sys.argv[1]):
+        pass
+except FloatingPointError as exc:
+    print(exc, all(calls), threading.active_count())
+"""
+
+
+def test_helper_error_is_raised_by_read_columns(tmp_path):
+    # In a child process, so that a helper that hangs ends in the timeout
+    # rather than hanging the session.
+    proc = run_python("-c", _FAILING_FIELDS, str(tmp_path / "events.log"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fields failed False 1\n"

@@ -1,11 +1,16 @@
 """Regression layer: OLS, IRLS logistic, and goodness-of-fit measures."""
 
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _helpers
+from _helpers import run_python, watchdog  # noqa: F401 (a fixture)
+from memesim import decision, stats
 from memesim.cli import main
 from memesim.core import InputError
 from memesim.stats import (
@@ -220,6 +225,119 @@ def test_logistic_converges_with_gradient_below_tol():
     mu = 1.0 / (1.0 + np.exp(-(xb @ beta)))
     grad = xb.T @ (y - mu) - np.array([0.0, 1e-6]) * beta
     assert np.max(np.abs(grad)) <= 1e-8
+
+
+# Fits the benchmark's logistic tables of seeds 812 and 813 (300k rows
+# each) and prints, per seed, whether the fit converged, its iterations and
+# its largest coefficient error against the generator's tolerance.
+_FIT_BENCHMARK_TABLES = """
+import importlib.util, sys
+from memesim import stats
+spec = importlib.util.spec_from_file_location("gen", sys.argv[1])
+gen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gen)
+for seed in (812, 813):
+    path = f"{sys.argv[2]}/logistic{seed}.csv"
+    truth = gen.make_fit_table(seed, "logistic", path)
+    fit = stats.logistic_fit(stats.load_design_csv(path))
+    error = max(abs(a - b) for a, b in zip(fit.coefficients, truth["coefficients"]))
+    print(seed, fit.converged, fit.iterations, error <= truth["tolerance"])
+"""
+
+
+def test_logistic_takes_a_full_step_whose_gain_is_below_rounding(tmp_path):
+    # On seed 813 a full Newton step is predicted to gain 5e-21 at a
+    # log-likelihood of -1.6e5, whose ulp is 3e-11: comparing the two
+    # log-likelihoods is rounding, and halving the step stalled the
+    # gradient at 1.2e-8 for all 100 iterations.  Seed 812 takes the same
+    # step with no halving.  In a child process with one BLAS thread, as
+    # the benchmark runs it: the stall depends on the rounding of x @ beta.
+    gen = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    proc = run_python("-c", _FIT_BENCHMARK_TABLES, str(gen), str(tmp_path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (_, ok812, it812, near812), (_, ok813, it813, near813) = (
+        line.split() for line in proc.stdout.splitlines())
+    assert ok812 == near812 == ok813 == near813 == "True", proc.stdout
+    assert int(it812) == 6 and int(it813) <= 8, proc.stdout
+
+
+def test_rows_in_two_parts_match_one_pass():
+    # Each element of a candidate's elementwise passes comes out the same
+    # whichever part of the rows it is computed in.
+    rng = np.random.default_rng(4)
+    n = 64 * 41 + 13
+    z = np.concatenate([[0.0, -0.0, 745.0, -745.0, 36.0, -36.0, 1e-300],
+                        rng.normal(0, 8, n - 7)])
+    y = (rng.random(n) < 0.5).astype(float)
+    whole = [np.empty(n) for _ in range(3)]
+    stats._rows(decision.sigmoid_array, y, z, *whole)
+    parts = [np.empty(n) for _ in range(3)]
+    for cut in (0, 64 * 20, n):
+        stats._rows(decision.sigmoid_array, y[:cut], z[:cut], *(a[:cut] for a in parts))
+        stats._rows(decision.sigmoid_array, y[cut:], z[cut:], *(a[cut:] for a in parts))
+        for got, want in zip(parts, whole):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_logistic_fit_runs_its_rows_on_a_helper_it_joins(watchdog, monkeypatch):
+    # The helper runs half of every candidate's rows, with the unwrapped
+    # sigmoid: the name a profiler wraps, stats.sigmoid_array, runs on the
+    # calling thread only, and no thread outlives the call.
+    rows, sigmoids = [], []
+    real_rows, real_sigmoid = stats._rows, stats.sigmoid_array
+
+    def recorded_rows(sigmoid, *args):
+        rows.append((threading.current_thread(), sigmoid))
+        return real_rows(sigmoid, *args)
+
+    def recorded_sigmoid(z):
+        sigmoids.append(threading.current_thread())
+        return real_sigmoid(z)
+
+    monkeypatch.setattr(stats, "_rows", recorded_rows)
+    monkeypatch.setattr(stats, "sigmoid_array", recorded_sigmoid)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(5000, 2))
+    y = (rng.random(5000) < 1 / (1 + np.exp(-x[:, 0]))).astype(float)
+    before = threading.enumerate()
+    fit = logistic_fit(DesignMatrix(x, y))
+    assert threading.enumerate() == before
+    assert fit.converged
+    caller = threading.current_thread()
+    assert {thread for thread, _ in rows} - {caller}
+    assert all((thread is caller) == (sigmoid is recorded_sigmoid) for thread, sigmoid in rows)
+    assert set(sigmoids) == {caller}
+
+
+# Makes the helper's rows job raise, then prints what logistic_fit raised,
+# whether every call ran on the main thread, and how many threads are left.
+_FAILING_ROWS = """
+import threading
+import numpy as np
+from memesim import stats
+real, calls = stats._rows, []
+def rows(*args):
+    calls.append(threading.current_thread() is threading.main_thread())
+    if not calls[-1]:
+        raise FloatingPointError("rows failed")
+    return real(*args)
+stats._rows = rows
+rng = np.random.default_rng(1)
+x = rng.normal(size=(500, 2))
+y = (rng.random(500) < 0.5).astype(float)
+try:
+    stats.logistic_fit(stats.DesignMatrix(x, y))
+except FloatingPointError as exc:
+    print(exc, all(calls), threading.active_count())
+"""
+
+
+def test_helper_error_is_raised_by_logistic_fit():
+    # In a child process, so that a helper that hangs ends in the timeout
+    # rather than hanging the session.
+    proc = run_python("-c", _FAILING_ROWS, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rows failed False 1\n"
 
 
 # ---------------------------------------------------------------------------
