@@ -32,7 +32,7 @@ While `run_group` steps tick t, a `core.Helper` that it owns runs
 `_angles`, its one job, on the walk draws of tick t+1, which `walk_step`
 draws on the calling thread as it takes tick t's angles.  The walk stream
 is counter-based and read by nothing else, so the values and their order
-are those of an inline walk; a run that stops early leaves one tick unused.
+are those of an inline walk; every call draws one tick more than it walks.
 """
 
 from __future__ import annotations
@@ -288,10 +288,10 @@ class Trajectory:
 
     `placement` is the placement stream just past the positions' draws;
     each world on the trajectory copies it for its recruits.  `helper` is
-    run_group's Helper, and `ahead` counts the walk draws still to hand it.
+    the Helper of the run_group call that walks it, if any.
     """
 
-    __slots__ = ("xs", "ys", "walk", "placement", "helper", "ahead")
+    __slots__ = ("xs", "ys", "walk", "placement", "helper")
 
     def __init__(self, config: SimConfig):
         n = config.population
@@ -300,7 +300,7 @@ class Trajectory:
         u = self.placement.uniforms(2 * n)
         self.xs = wrap_coords(u[0::2] * config.world_width, config.world_width)
         self.ys = wrap_coords(u[1::2] * config.world_height, config.world_height)
-        self.helper, self.ahead = None, 0
+        self.helper = None
 
 
 def trajectory_key(config: SimConfig) -> tuple:
@@ -429,15 +429,13 @@ def recruit_step(world: WorldState) -> WorldState:
 
 def walk_step(world: WorldState) -> WorldState:
     """Move every agent of world.traj one fixed-length step in a uniformly
-    random direction (for every world on that trajectory): the angles and
-    their sines come from run_group's helper when it runs one, else from
-    `_angles` on this thread."""
+    random direction (for every world on that trajectory): with a helper,
+    the angles and their sines are the ones it worked out, and the next
+    tick's draws go to it; else `_angles` runs on this thread."""
     cfg, traj = world.config, world.traj
     if traj.helper:
         theta, dy = traj.helper.take()
-        if traj.ahead:
-            traj.ahead -= 1
-            traj.helper.submit(_angles, traj.walk.uniforms(cfg.population))
+        traj.helper.submit(_angles, traj.walk.uniforms(cfg.population))
     else:
         theta, dy = _angles(traj.walk.uniforms(cfg.population))
     dx = np.cos(theta)
@@ -601,26 +599,21 @@ def run_group(configs) -> list:
     """run() of each config, all of one trajectory_key, walking their one
     Trajectory once per tick.  A member leaves the loop at its horizon or
     once quiet, and the walk stops when no member is left: a shorter run
-    is a prefix of it.  For the length of the call a `Helper` works out the
-    walk's angles one tick ahead (see the module docstring)."""
+    is a prefix of it.  A `Helper`, primed here with tick 0's draws, works
+    out the walk's angles one tick ahead (see the module docstring); its
+    trajectory is walked by nothing after the call."""
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))
         traj = worlds[-1].traj
-    horizon = max(config.horizon_ticks for config in configs)
-    try:
-        with Helper() as traj.helper:
-            traj.ahead = horizon - 1
-            if horizon:
-                traj.helper.submit(_angles, traj.walk.uniforms(configs[0].population))
-            for tick in range(horizon):
-                live = [world for world in worlds if tick < world.config.horizon_ticks
-                        and (len(world.keys) or world.meme_count < world.config.max_memes)]
-                if not live:
-                    break
-                step(*live)
-    finally:
-        traj.helper = None
+    with Helper() as traj.helper:
+        traj.helper.submit(_angles, traj.walk.uniforms(configs[0].population))
+        for tick in range(max(config.horizon_ticks for config in configs)):
+            live = [world for world in worlds if tick < world.config.horizon_ticks
+                    and (len(world.keys) or world.meme_count < world.config.max_memes)]
+            if not live:
+                break
+            step(*live)
     return [_output(world) for world in worlds]
 
 

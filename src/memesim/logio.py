@@ -78,7 +78,8 @@ _TAILS = np.frombuffer(b"".join(f'" {kind.name}\n'.encode().ljust(_TAIL_WIDTH, b
 
 def _chunks(blocks):
     """The events of `blocks` as column tuples of at most _CHUNK_EVENTS
-    events, in order: small blocks are joined and large ones sliced."""
+    events, in order: small blocks are joined, and large ones sliced, so a
+    chunk that lies inside one block is views of that block's columns."""
     pending, count = [], 0
     for block in blocks:
         n, start = len(block[0]), 0
@@ -88,10 +89,15 @@ def _chunks(blocks):
             count += take
             start += take
             if count == _CHUNK_EVENTS:
-                yield [np.concatenate(columns) for columns in zip(*pending)]
+                yield _joined(pending)
                 pending, count = [], 0
     if count:
-        yield [np.concatenate(columns) for columns in zip(*pending)]
+        yield _joined(pending)
+
+
+def _joined(parts):
+    """The column tuples `parts` as one tuple; a lone part as it is."""
+    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
 
 
 def _format_chunk(ticks, kinds, agents, memes) -> bytes:
@@ -239,11 +245,12 @@ def _fields(u):
 
 def _kept(parsed, u):
     """The columns of `parsed`, from _fields, if write_lines writes them
-    back as exactly `u` (then parse_line reads `u` the same), else None."""
-    columns, n = parsed
+    back as exactly `u` (then parse_line reads `u` the same), else None;
+    compared one chunk at a time, cuts that the NUL-free text does not show."""
+    columns, _ = parsed
     at = 0
-    for start in range(0, n if columns else 0, _CHUNK_EVENTS):  # write_lines' chunks
-        text = _format_chunk(*(c[start:start + _CHUNK_EVENTS] for c in columns))
+    for chunk in _chunks([columns] if columns else ()):
+        text = _format_chunk(*chunk)
         if not np.array_equal(np.frombuffer(text, np.uint8), u[at:at + len(text)]):
             return None
         at += len(text)

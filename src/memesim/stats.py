@@ -15,7 +15,6 @@ calling thread, so no bit depends on the split.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -235,49 +234,44 @@ def load_design_csv(path) -> DesignMatrix:
     optionally double-quoted and surrounded by whitespace.  Blank lines are
     skipped and `#` is not a comment.  A bad row, including a cell with a
     byte that is not UTF-8 or over csv's field size limit, is an InputError
-    naming `path:lineno`.  np.loadtxt reads the rows again from `path`, so
-    a file changed between the reads gives either version's rows, or the
-    first's InputError where loadtxt's width is not the header's.
+    naming `path:lineno`.  No handle holds the whole file: a text handle
+    (UTF-8, bad bytes as lone surrogates) reads the header, then the rows
+    cell by cell where np.loadtxt, reading `path`, cannot; a binary one
+    scans for bytes 0x1C-0x1F, 1 MiB at a time.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    reader = csv.reader(_text(raw))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"{path}: empty file") from None
-    except csv.Error as exc:  # a field over csv's size limit
-        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-    if len(header) < 2:
-        raise InputError(f"{path}: need at least one feature column plus a response")
-    table = None
-    # loadtxt strips \x1c-\x1f around a number, which float() rejects.
-    if not any(ch in raw for ch in b"\x1c\x1d\x1e\x1f"):
-        with warnings.catch_warnings():
-            # loadtxt warns when it finds blank rows only.
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
-                                   ndmin=2, encoding="utf-8",
-                                   skiprows=reader.line_num)  # the header's lines
-            except ValueError:  # UnicodeDecodeError included
-                pass
-    if table is None or table.shape[1] != len(header):
-        table = _read_rows(path, raw, len(header))
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        except csv.Error as exc:  # a field over csv's size limit
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+        if len(header) < 2:
+            raise InputError(f"{path}: need at least one feature column plus a response")
+        table = None
+        # loadtxt strips \x1c-\x1f around a number, which float() rejects.
+        with open(path, "rb") as raw:
+            separated = any(ch in part for part in iter(lambda: raw.read(1 << 20), b"")
+                            for ch in b"\x1c\x1d\x1e\x1f")
+        if not separated:
+            with warnings.catch_warnings():
+                # loadtxt warns when it finds blank rows only.
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
+                                       ndmin=2, encoding="utf-8",
+                                       skiprows=reader.line_num)  # the header's lines
+                except ValueError:  # UnicodeDecodeError included
+                    pass
+        if table is None or table.shape[1] != len(header):
+            table = _read_rows(path, reader, len(header))
     return DesignMatrix(features=table[:, :-1], response=table[:, -1])
 
 
-def _text(raw: bytes):
-    """`raw` as a text file; undecodable bytes become lone surrogates."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
-                            errors="surrogateescape", newline="")
-
-
-def _read_rows(path, raw: bytes, width: int) -> np.ndarray:
-    """The rows under the header read one cell at a time, or the
-    InputError of the first bad row."""
-    reader = csv.reader(_text(raw))
-    next(reader)
+def _read_rows(path, reader, width: int) -> np.ndarray:
+    """The rows that csv `reader`, just past the header, reads, one cell at
+    a time, or the InputError of the first bad row."""
     rows = []
     try:
         for lineno, row in enumerate(reader, start=2):

@@ -793,14 +793,13 @@ def test_helper_changes_no_byte(walk_threads, ticks_stepped, lockstep):
     for cfg, out in zip(group, outputs):
         assert_same_output(out, inline_output(cfg))
     assert set(walk_threads.angles[helper_ticks:]) == {main}
-    # At most one tick ahead: each run draws the ticks it walked, plus one
-    # when it stopped before the horizon.
+    # One tick ahead: each run_group call draws the ticks it walked, plus
+    # one, also when it stopped before the horizon or had none.
     stepped = [ticks_stepped[id(cfg)] for cfg in group]
     if lockstep:
-        walked = max(stepped)
-        assert helper_ticks == walked + (walked < max(cfg.horizon_ticks for cfg in group))
+        assert helper_ticks == max(stepped) + 1
     else:
-        assert helper_ticks == sum(n + (n < cfg.horizon_ticks) for cfg, n in zip(group, stepped))
+        assert helper_ticks == sum(n + 1 for n in stepped)
         assert any(n < cfg.horizon_ticks for cfg, n in zip(group, stepped))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
@@ -221,6 +221,21 @@ def test_writer_matches_emit_line(make_blocks):
     # passes the engine's int8.
     blocks = make_blocks()
     assert written_blocks(blocks) == emitted(blocks)
+
+
+def test_a_chunk_inside_one_block_is_the_blocks_own_memory():
+    # A large block is formatted from views of its columns; only a chunk
+    # that joins blocks is a copy.
+    rng = np.random.default_rng(9)
+    block = random_block(rng, 3 * CHUNK + 5)
+    chunks = list(logio._chunks([block]))
+    assert [len(chunk[0]) for chunk in chunks] == [CHUNK, CHUNK, CHUNK, 5]
+    assert all(np.shares_memory(column, whole)
+               for chunk in chunks for column, whole in zip(chunk, block))
+    small = [random_block(rng, 3), random_block(rng, 4)]
+    (joined,) = logio._chunks(small)
+    assert all(np.array_equal(column, np.concatenate(parts))
+               for column, *parts in zip(joined, *small))
 
 
 def test_writer_memory_does_not_grow_with_the_log():
@@ -640,7 +655,17 @@ def digit_ids(draw):
     return draw(st.integers(low, min(10**digits - 1, INT64_MAX)))
 
 
+def several_blocks_of_short_lines():
+    """Four write_lines blocks of 25,000 lines of about 22 bytes: a log of
+    two full read blocks and part of a third, whose halves each hold more
+    lines than one chunk."""
+    return [[EventRecord(i % 7, KINDS[i % len(KINDS)], i % 100,
+                         None if KINDS[i % len(KINDS)] is EventKind.RECRUIT else i % 10)
+             for i in range(25_000)] for _ in range(4)]
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
+@example(blocks=several_blocks_of_short_lines())
 @given(blocks=st.lists(st.lists(st.builds(
     lambda kind, tick, agent, meme: EventRecord(
         tick, kind, agent, None if kind is EventKind.RECRUIT else meme),
@@ -656,7 +681,10 @@ def test_written_blocks_take_the_quick_path(tmp_path_factory, blocks):
         logio.write_lines(fh, (columns_of(block) for block in blocks))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logio, "_parse_block_by_line", by_line)
-        assert records_of(read_columns(path)) == [r for block in blocks for r in block]
+        halves = list(read_columns(path))
+    assert records_of(halves) == [r for block in blocks for r in block]
+    if len(blocks) > 3:     # the explicit example: more blocks than drawn
+        assert max(len(half[0]) for half in halves) > CHUNK
 
 
 def test_read_memory_is_bounded_by_one_block(tmp_path):

@@ -1,6 +1,7 @@
 """Regression layer: OLS, IRLS logistic, and goodness-of-fit measures."""
 
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,24 @@ def test_load_design_csv_semantics(tmp_path, text, table):
         design = load_design_csv(path)
         assert design.features.tolist() == [row[:-1] for row in table]
         assert design.response.tolist() == [row[-1] for row in table]
+
+
+def test_load_design_csv_holds_about_one_table(tmp_path):
+    # The file is read by handles and loadtxt, never held whole beside the
+    # table: the traced peak is within 1.6 times the returned arrays' bytes.
+    path = tmp_path / "data.csv"
+    x = np.random.default_rng(6).normal(size=(50_000, 4))
+    path.write_text("a,b,c,y\n" + "".join(f"{a:.6f},{b:.6f},{c:.6f},{y:.6f}\n"
+                                          for a, b, c, y in x.tolist()))
+    tracemalloc.start()
+    try:
+        design = load_design_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(np.column_stack([design.features, design.response]), x, atol=1e-6)
+    table_bytes = design.features.nbytes + design.response.nbytes
+    assert peak <= 1.6 * table_bytes, (peak, table_bytes, path.stat().st_size)
 
 
 @pytest.mark.parametrize("cell", ["7_0", "\u0663"])
