@@ -178,19 +178,16 @@ def cmd_sweep(config_path, out_dir) -> int:
     rows = [None] * len(runs)
     # Forked workers inherit the imported package: spawn or forkserver would
     # re-import numpy in each, and re-run an unguarded __main__ of the caller.
-    with ProcessPoolExecutor(max_workers=min(len(groups), os.cpu_count() or 1),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_sweep_hits, [configs[i] for i in members])
-                   for members in groups]
-        try:
-            for members, future in zip(groups, futures):
-                for i, hits in zip(members, future.result()):
-                    values, run_cfg = runs[i]
-                    rows[i] = values + [run_cfg.master_seed, *hits]
-        except BaseException:
-            for future in futures:
-                future.cancel()  # so that leaving the pool waits only for running groups
-            raise
+    pool = ProcessPoolExecutor(max_workers=min(len(groups), os.cpu_count() or 1),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        results = pool.map(_sweep_hits, [[configs[i] for i in members] for members in groups])
+        for members, hits in zip(groups, results):
+            for i, row in zip(members, hits):
+                values, run_cfg = runs[i]
+                rows[i] = values + [run_cfg.master_seed, *row]
+    finally:
+        pool.shutdown(cancel_futures=True)  # after a failure, waits only for running groups
 
     logio.write_csv(out / "sweep.csv",
                     ",".join(axis_names + ["seed", "final_cumulative_exposures",
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="aggregate an access log")
     p.add_argument("--log", required=True)
     p.add_argument("--bin", type=int, default=1, help="bin width in ticks")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sim-timeseries", default=None,
                    help="simulation timeseries.csv to render a two-panel "
                         "comparison SVG against")

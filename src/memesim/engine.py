@@ -602,6 +602,8 @@ def run_group(configs) -> list:
     is a prefix of it.  A `Helper`, primed here with tick 0's draws, works
     out the walk's angles one tick ahead (see the module docstring); its
     trajectory is walked by nothing after the call."""
+    if len({trajectory_key(config) for config in configs}) > 1:
+        raise ValueError("run_group needs configs of one trajectory_key")
     worlds, traj = [], None
     for config in configs:
         worlds.append(init_world(config, traj))

@@ -471,12 +471,13 @@ def run_python(*args, address_space=None, timeout=None, **env):
     def limit():
         import resource  # POSIX only, as is preexec_fn
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
-    # One BLAS thread keeps the child's address space small.
+    # One BLAS thread, unless `env` says otherwise, keeps the child's address
+    # space small.
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=timeout,
                           preexec_fn=None if address_space is None else limit,
-                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
-                                   **env))
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   **{"OPENBLAS_NUM_THREADS": "1", **env}))
 
 
 # A helper thread that is never joined would hang the session, so a test

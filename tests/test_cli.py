@@ -6,7 +6,7 @@ import multiprocessing
 import os
 import threading
 import xml.etree.ElementTree as ET
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import pytest
@@ -594,11 +594,17 @@ def test_analyze_shipped_fixture(tmp_path):
 
 
 def test_analyze_malformed_log_exits_4(tmp_path, capsys):
-    bad = tmp_path / "bad.log"
-    bad.write_text('0 1 "GET /" RECRUIT\nnot a line\n')
-    assert main(["analyze", "--log", str(bad), "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("parse-error") and "line 2" in err
+    # A line that is no event, a digit for a kind, a tick one past int64
+    # (which the byte parse reads as negative) and a lone CR, which ends no
+    # line: each is named by its line number.
+    for log, lineno in [(b'0 1 "GET /" RECRUIT\nnot a line\n', 2),
+                        (b'0 1 "GET /m/0" 9\n1 1 "GET /m/0" VIEW\n', 1),
+                        (b'9223372036854775808 1 "GET /m/0" EXPOSE\n', 1),
+                        (b'0 1 "GET /" RECRUIT\n\r1 1 "GET /m/0" CREATE\n', 2)]:
+        bad = tmp_path / "bad.log"
+        bad.write_bytes(log)
+        assert main(["analyze", "--log", str(bad), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith(f"parse-error: line {lineno}:"), log
 
 
 @pytest.mark.parametrize("first", [
@@ -640,6 +646,16 @@ def test_analyze_then_fit_leave_no_thread(tmp_path):
     # Even ticks CREATE and odd ones EXPOSE, so only odd memes have hits.
     assert (tmp_path / "an" / "hits.csv").read_text() == "meme_id,hits\n" + "".join(
         f"{m},{m % 2 * n // 50}\n" for m in range(50))
+
+
+def test_analyze_without_out_is_a_usage_error(monkeypatch, capsys):
+    # argparse refuses the command before the log is opened.
+    monkeypatch.setattr(logio, "read_columns", lambda *args: pytest.fail("the log was read"))
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "--log", str(FIXTURES / "tiny.log")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: memesim analyze") and "--out" in err
 
 
 def test_analyze_bad_bin_exits_4(tmp_path):
@@ -737,6 +753,11 @@ def test_pipeline_closure_simulate_then_analyze(tmp_path):
     # Per-meme hit counts round-trip bit-exactly through the log.
     assert ((an_out / "hits.csv").read_bytes()
             == (sim_out / "hits.csv").read_bytes())
+    # So does a CRLF copy of the log.
+    crlf = tmp_path / "crlf.log"
+    crlf.write_bytes((sim_out / "events.log").read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["analyze", "--log", str(crlf), "--out", str(tmp_path / "crlf")]) == 0
+    assert (tmp_path / "crlf" / "hits.csv").read_bytes() == (sim_out / "hits.csv").read_bytes()
     cfg = SimConfig(**{k: v for k, v in SMALL.items() if k != "sharing_model"},
                     sharing_model=SharingModel(**SMALL["sharing_model"]))
     in_memory = run(cfg).hits
@@ -891,6 +912,76 @@ def test_artifacts_do_not_depend_on_simd_dispatch(tmp_path):
                  "timeseries.svg"):
         assert ((tmp_path / "narrow" / name).read_bytes()
                 == (tmp_path / "wide" / name).read_bytes()), name
+
+
+# Runs the argv lists of argv[1], pinned to one allowed CPU first if argv[2]
+# is "pin", then prints their exit codes and how many CPUs it could use.
+_ONE_CPU_CHILD = """
+import json, os, sys
+if sys.argv[2] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from memesim.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "cpus": len(os.sched_getaffinity(0))}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="os.sched_setaffinity is not available here")
+def test_one_cpu_writes_the_same_bytes(tmp_path):
+    """The walk, log-reader and logistic-fit helper threads change no byte
+    when one CPU schedules them all: a default run that goes quiet from tick
+    479, a supercritical-shaped run with blocks over one write_lines chunk,
+    analyze of both logs and both fits of a 20,000-row table, each run by a
+    child pinned to one CPU and by one that is not."""
+    import numpy as np
+    doc = json.loads((CONFIGS / "default.json").read_text())
+    doc.update(recruits=1000, recruit_batch_size=1000, memes_per_recruit=1, horizon_ticks=30,
+               sharing_model={"intercept": -3.3, "w_humor": 0.1, "w_relevance": 0.1,
+                              "w_selfref": 0.1})
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(20000, 3))
+    y = rng.random(20000) < 1 / (1 + np.exp(-(x @ [1.0, -0.5, 0.25])))
+    super_cfg = write_config(tmp_path, doc, "super.json")
+    table = tmp_path / "table.csv"
+    np.savetxt(table, np.column_stack([x, y]), fmt="%.6f", delimiter=",",
+               header="a,b,c,y", comments="")
+
+    def commands(out):
+        return [["simulate", "--config", str(CONFIGS / "default.json"), "--seed", "13",
+                 "--out", str(out / "quiet")],
+                ["simulate", "--config", str(super_cfg), "--seed", "5",
+                 "--out", str(out / "super")],
+                ["analyze", "--log", str(out / "quiet" / "events.log"),
+                 "--out", str(out / "quiet_an")],
+                ["analyze", "--log", str(out / "super" / "events.log"),
+                 "--out", str(out / "super_an")],
+                ["fit", "--data", str(table), "--model", "logistic",
+                 "--out", str(out / "logistic.json")],
+                ["fit", "--data", str(table), "--model", "ols", "--out", str(out / "ols.json")]]
+
+    # Both children get the BLAS thread count of an unpinned process.
+    cpus = len(os.sched_getaffinity(0))
+    for side in ("pin", "all"):
+        proc = run_python("-c", _ONE_CPU_CHILD, json.dumps(commands(tmp_path / side)), side,
+                          PYTHONWARNINGS="error", OPENBLAS_NUM_THREADS=str(cpus))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0] * 6,
+                                           "cpus": 1 if side == "pin" else cpus}
+    pinned, unpinned = tmp_path / "pin", tmp_path / "all"
+    names = sorted(p.relative_to(unpinned) for p in unpinned.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(pinned) for p in pinned.rglob("*") if p.is_file())
+    assert len(names) == 2 * 5 + 2 * 3 + 2
+    for name in names:
+        assert (pinned / name).read_bytes() == (unpinned / name).read_bytes(), name
+
+    for run_dir in ("quiet", "super"):
+        assert ((unpinned / run_dir / "hits.csv").read_bytes()
+                == (unpinned / f"{run_dir}_an" / "hits.csv").read_bytes()), run_dir
+    blocks = run(replace(load_run_config(super_cfg)[0], master_seed=5)).events.blocks
+    assert sum(len(block[1]) for block in blocks) == 275_284
+    assert max(len(block[1]) for block in blocks) > logio._CHUNK_EVENTS
+    assert json.loads((unpinned / "logistic.json").read_text())["converged"] is True
 
 
 def test_shipped_small_config_runs(tmp_path):

@@ -900,6 +900,18 @@ def test_trajectory_groups_split_on_trajectory_fields_only():
     assert trajectory_groups([]) == []
 
 
+@pytest.mark.parametrize("field, value", [("world_width", 10.0), ("population", 300)])
+def test_run_group_refuses_mixed_trajectory_keys(monkeypatch, field, value):
+    # The members share one walk, so a member of another trajectory would
+    # run on the wrong one (a narrower world) or index past its agents (a
+    # larger population).
+    monkeypatch.setattr(engine, "step", lambda *worlds: pytest.fail("a tick was stepped"))
+    a = small_config(population=200, recruits=5, horizon_ticks=40, master_seed=3,
+                     sharing_model=SharingModel(-2.0, 0.4, 0.4, 0.2))
+    with pytest.raises(ValueError, match="trajectory_key"):
+        run_group([a, replace(a, **{field: value})])
+
+
 @pytest.mark.parametrize("field, value", [
     ("population", 61), ("world_width", 21.0), ("world_height", 19.0),
     ("step_size", 1.5), ("master_seed", 8),

@@ -533,7 +533,12 @@ EXPOSE_LINE = b'7 12 "GET /m/3" EXPOSE\n'
     # A CR that no LF follows is part of the line, not a line end.
     (RECRUIT_LINE + b"\r" + EXPOSE_LINE,
      "line 2: tick must be an unsigned integer, got '\\r7'"),
-], ids=["crlf-golden", "cr-at-end", "crlf-blank", "lone-cr"])
+    # Blank LF and CRLF lines and a leading zero in a log of both line ends.
+    (b'0 1 "GET /" RECRUIT\n1 1 "GET /m/0" CREATE\n2 2 "GET /m/0" EXPOSE\n\r\n'
+     b'3 3 "GET /m/00" EXPOSE\n\n4 4 "GET /m/1" CREATE\n5 5 "GET /m/1" EXPOSE\n',
+     b'0 1 "GET /" RECRUIT\n1 1 "GET /m/0" CREATE\n2 2 "GET /m/0" EXPOSE\n'
+     b'3 3 "GET /m/0" EXPOSE\n4 4 "GET /m/1" CREATE\n5 5 "GET /m/1" EXPOSE\n'),
+], ids=["crlf-golden", "cr-at-end", "crlf-blank", "lone-cr", "blanks-and-leading-zero"])
 def test_line_ends_at_lf_with_one_optional_cr(tmp_path, log, expected):
     path = tmp_path / "events.log"
     path.write_bytes(log)
